@@ -5,10 +5,10 @@ environments that lack the ``wheel`` package (pip falls back to
 ``setup.py develop``).
 
 The ``jit`` extra pulls in numba for the compiled hot kernels in
-:mod:`repro.simulator.kernels`.  It is strictly optional: every kernel
-has a pure-numpy fallback that is bit-identical (the golden trace and
-``repro bench --check`` gate both paths), so the base install never
-needs a compiler toolchain.  ``REPRO_NO_JIT=1`` forces the fallback
+:mod:`repro.simulator._kernels`.  It is strictly optional: without it
+the fabric runs its list-based reference of the same algorithms,
+bit-identically (the golden trace and ``repro bench --check`` gate
+both legs), so the base install never needs a compiler toolchain.  ``REPRO_NO_JIT=1`` forces the fallback
 even when numba is importable.
 """
 

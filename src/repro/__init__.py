@@ -71,20 +71,19 @@ The simulator is built as three speed layers, each gated bit-exact
 the layer below by the golden trace and ``repro bench --check``:
 
 1. **Struct-of-arrays hot loops.**  The fabric keeps flows as
-   parallel numpy arrays (progressive-filling rate assignment, fused
-   horizon/advance), and :mod:`repro.netmodel.fleet` batches every
-   node's egress shaper into one vectorized model —
+   parallel numpy arrays, and :mod:`repro.netmodel.fleet` batches
+   every node's egress shaper into one vectorized model —
    :class:`~repro.netmodel.fleet.TokenBucketFleet`,
    :class:`~repro.netmodel.fleet.PerCoreQosFleet`, and friends — so a
    step costs a handful of array ops instead of a Python loop over
-   links.  Small fabrics take scalar fast paths that perform the same
-   arithmetic without the ufunc dispatch.
-2. **Compiled kernels.**  :mod:`repro.simulator.kernels` JIT-compiles
-   the water-filling and flow-advance inner loops with numba when the
-   optional ``repro[jit]`` extra is installed; a pure-numpy fallback
-   (forced via ``REPRO_NO_JIT=1``, and the default when numba is
-   absent) is bit-identical, and CI runs the whole tier-1 and bench
-   suites on both legs.
+   links.
+2. **Compiled kernels.**  :mod:`repro.simulator._kernels` JIT-compiles
+   the water-filling, completion-bound and flow-advance loops with
+   numba when the optional ``repro[jit]`` extra is installed; the
+   fabric's list-based reference (forced via ``REPRO_NO_JIT=1``, and
+   the default when numba is absent) runs the same algorithm
+   bit-identically for every flow count, and CI runs the whole tier-1
+   and bench suites on both legs.
 3. **Batched multi-stream execution.**
    :func:`repro.simulator.multistream.run_streams` stitches many
    independent cells' fleets into one concatenated super-fleet and

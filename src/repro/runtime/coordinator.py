@@ -334,16 +334,6 @@ class _Slot:
         )
 
 
-def _jitter_frac(seed: int, shard: int, attempt: int) -> float:
-    """Deterministic jitter in [0, 1): same campaign, same schedule.
-
-    Delegates to :class:`repro.runtime.remote.RetryPolicy` so worker
-    relaunches and transport retries draw from one jitter function —
-    the equivalence is pinned in the backoff-determinism tests.
-    """
-    return RetryPolicy(seed=seed).jitter_frac(shard, attempt)
-
-
 def _stored_keys(store_root: Path) -> set[str]:
     """Keys a shard store holds, read without scaffolding the store."""
     path = store_root / "manifest.json"

@@ -8,7 +8,6 @@ repetitions (Figure 19) — all arise from the *interaction* between the
 stage/shuffle structure of the jobs and the per-node shapers.  This
 package models exactly that interaction:
 
-* :mod:`repro.simulator.events` — a minimal event-queue kernel;
 * :mod:`repro.simulator.core` — the workload-agnostic event-driven
   core (:class:`EventCore` + the :class:`WorkloadSource` hook
   protocol) shared by the DAG stream engine and ``repro.serving``;
@@ -26,17 +25,16 @@ package models exactly that interaction:
 gated by the event loop's per-step cost, so the innermost state is
 struct-of-arrays: the fabric keeps flow ``src``/``dst``/``remaining``/
 ``rate`` in flat numpy arrays (insertion-ordered; :class:`Flow`
-objects are handles into them), water-fills via ``np.bincount``
-incidence counts with a vectorized fair-share pass per saturated
-resource, and fuses ``horizon``/``advance`` into single array
-expressions.  Below ~64 flows the water-filling/horizon scans cut over
-to the scalar reference algorithm (numpy dispatch overhead beats
-vectorization on tiny operands; both paths are bit-identical, which a
-hypothesis test enforces).  Per event step the cost is
+objects are handles into them).  Water-filling, the flow
+completion-bound scan, and the flow advance each have one algorithm
+with two backends: the numba kernels in ``repro.simulator._kernels``
+when numba is installed, else the list-based reference in the fabric.
+The same arithmetic runs for every flow count, and the two backends
+are bit-identical.  Per event step the cost is
 
 * one lazy water-filling — skipped entirely unless a flow arrived or
   completed, a shaper ceiling moved, or a caller invalidated rates;
-  otherwise O(bottlenecks x flows) in vectorized ops;
+  otherwise O(bottlenecks x flows);
 * one cached per-node egress aggregation (``bincount``), shared by
   telemetry, ``horizon``, and ``advance`` instead of recomputed
   thrice;
@@ -66,13 +64,11 @@ from repro.simulator.engine import (
     SparkEngine,
     StreamResult,
 )
-from repro.simulator.events import EventQueue
 from repro.simulator.fabric import Fabric, Flow
 from repro.simulator.hdfs import HdfsCluster, HdfsFile
 from repro.simulator.tasks import JobSpec, StageSpec
 
 __all__ = [
-    "EventQueue",
     "EventCore",
     "WorkloadSource",
     "Fabric",

@@ -10,13 +10,14 @@ selection happens once at import:
   and the public names (:func:`waterfill`, :func:`flow_min_bound`,
   :func:`advance_flows`) are ``njit``-compiled (IEEE-strict: no
   ``fastmath``, so no FMA contraction — bit-exactness against the
-  numpy paths is part of the contract and pinned by the golden trace);
+  list-based reference is part of the contract and pinned by the
+  golden trace);
 * numba missing, or ``REPRO_NO_JIT`` set to anything non-empty →
   :data:`HAVE_JIT` is False and
-  :class:`~repro.simulator.fabric.Fabric` keeps its numpy/scalar
-  implementations (the compiled kernels would be *slower* as
-  interpreted Python, so the fallback is "don't call them", not "call
-  them uncompiled").
+  :class:`~repro.simulator.fabric.Fabric` runs its list-based
+  reference instead (the kernels would be *slower* as interpreted
+  Python over numpy arrays, so the fallback is "don't call them", not
+  "call them uncompiled").
 
 The uncompiled originals stay importable as ``*_py`` so the identity
 tests can pin kernel algorithm ≡ fabric reference even on machines
@@ -28,7 +29,7 @@ operation order exactly:
 * :func:`waterfill` is the reference progressive filling —
   first-appearance resource ordering, strict-min tie-break, per-frozen-
   flow clamped capacity subtraction — over CSR adjacency instead of
-  dicts;
+  Python lists;
 * :func:`flow_min_bound` is ``Fabric.horizon``'s completed/stalled/
   active classification per flow;
 * :func:`advance_flows` is ``remaining -= rate * dt`` plus the

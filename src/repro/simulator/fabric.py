@@ -15,15 +15,16 @@ assignment stays valid (flow completions and shaper transitions), and
 
 Internally the fabric is a struct-of-arrays engine: flow endpoints,
 remaining volumes, and rates live in flat numpy arrays kept in flow
-insertion order, so water-filling runs as ``np.bincount`` incidence
-counts plus vectorized fair-share passes, and ``horizon``/``advance``
-are single fused array expressions instead of per-flow Python loops.
-:class:`Flow` objects are handles into those arrays.  The vectorized
-water-filling reproduces the reference progressive-filling algorithm
+insertion order, and :class:`Flow` objects are handles into them.
+Each hot loop — water-filling, the flow completion-bound scan, and the
+flow advance — has exactly one algorithm with two backends: the numba
+kernels in :mod:`repro.simulator._kernels` when they compile, else the
+list-based reference here.  Both run the same progressive filling
 *bit for bit* — same saturation order, same tie-breaking (first
 resource in flow-insertion order wins), same floating-point operation
-order for the per-flow capacity subtractions — which is what lets the
-golden-trace equivalence test pin pre-refactor outputs exactly.
+order for the per-flow capacity subtractions — for every flow count,
+which is what lets the golden-trace equivalence test pin outputs
+exactly on both legs.
 
 The shaper side is batched the same way: the fabric holds a
 :class:`~repro.netmodel.fleet.LinkModelFleet` (built automatically
@@ -57,13 +58,6 @@ _COMPLETE_EPS_GBIT = 1e-9
 
 #: Initial capacity of the flow arrays; doubled on demand.
 _MIN_CAPACITY = 64
-
-#: Below this many flows the water-filling and horizon scans run the
-#: scalar reference algorithm: per-call numpy dispatch overhead beats
-#: vectorization on tiny operands (small scenario-campaign cells),
-#: while dense flow sets want the array path.  Both paths are
-#: bit-identical by construction (see tests/simulator/test_fabric.py).
-_SCALAR_CUTOFF = 64
 
 #: Default relative tolerance for event-horizon coalescing: shaper
 #: horizons within this factor of the step bound resolve in the same
@@ -189,13 +183,12 @@ class Fabric:
         self._flow_bound_valid = False
         #: Scratch for the compiled advance kernel's completed indices.
         self._done_scratch = np.empty(_MIN_CAPACITY, dtype=np.int64)
-        #: Cached scalar water-filling topology (resource ids, flow
-        #: adjacency) for the current flow set; rebuilt whenever flows
-        #: are added or removed.  Between flow-set changes only the
-        #: resource capacities (shaper limits) move, so the per-step
-        #: scalar path reuses the structure (see
-        #: :meth:`_compute_rates_scalar`).
-        self._scalar_topo: tuple | None = None
+        #: Cached water-filling topology (resource ids, flow adjacency)
+        #: for the current flow set; rebuilt whenever flows are added
+        #: or removed.  Between flow-set changes only the resource
+        #: capacities (shaper limits) move, so the per-step reference
+        #: fill reuses the structure (see :meth:`_compute_rates_lists`).
+        self._topo: tuple | None = None
         #: Optional external buffer for the egress cache (a view into
         #: the multistream runner's shared staging array); ``None``
         #: means refills allocate their own array.
@@ -244,7 +237,7 @@ class Fabric:
         self._rates_valid = False
         self._egress_cache = None
         self._flow_bound_valid = False
-        self._scalar_topo = None
+        self._topo = None
         return flow
 
     def remove_flow(self, flow: Flow) -> None:
@@ -256,9 +249,7 @@ class Fabric:
         """
         if flow._fabric is not self:
             return
-        keep = np.ones(self._n, dtype=bool)
-        keep[flow._index] = False
-        self._compact(keep)
+        self._compact([flow._index])
         self._rates_valid = False
         self._egress_cache = None
         self._flow_bound_valid = False
@@ -272,18 +263,13 @@ class Fabric:
             setattr(self, name, new)
         self._done_scratch = np.empty(capacity, dtype=np.int64)
 
-    def _compact(self, keep: np.ndarray, removed: np.ndarray | None = None) -> None:
-        """Drop flows where ``keep`` is False, preserving insertion order.
-
-        ``removed`` optionally carries the precomputed indices of the
-        dropped flows (callers that already ran ``flatnonzero`` on the
-        completion mask pass it to avoid a second scan).
-        """
+    def _compact(self, removed: list[int]) -> None:
+        """Drop the flows at indices ``removed``, preserving insertion order."""
         n = self._n
-        self._scalar_topo = None
-        if removed is None:
-            removed = np.flatnonzero(~keep)
-        for i in removed.tolist():
+        self._topo = None
+        keep = np.ones(n, dtype=bool)
+        keep[removed] = False
+        for i in removed:
             handle = self._handles[i]
             handle._remaining = float(self._remaining[i])
             handle._rate = float(self._rate[i])
@@ -332,99 +318,25 @@ class Fabric:
                 self._ingress_arr.copy(),
                 self._rate[:n],
             )
-            self._rates_valid = True
-            return
-        if n < _SCALAR_CUTOFF:
-            self._compute_rates_scalar(n)
-            self._rates_valid = True
-            return
-        src = self._src[:n]
-        dst = self._dst[:n]
-        rate = self._rate[:n]
-        rate[:] = 0.0
-        n_nodes = self.n_nodes
-
-        out_rem = self.fleet.limits()
-        in_rem = self._ingress_arr.copy()
-        out_counts = np.bincount(src, minlength=n_nodes)
-        in_counts = np.bincount(dst, minlength=n_nodes)
-        ranks: np.ndarray | None = None
-
-        unfixed = np.ones(n, dtype=bool)
-        n_unfixed = n
-        shares = np.empty(2 * n_nodes, dtype=float)
-        while n_unfixed:
-            # Fair share each resource could give its unfixed flows.
-            shares[:] = np.inf
-            np.divide(
-                out_rem, out_counts, out=shares[:n_nodes], where=out_counts > 0
-            )
-            np.divide(
-                in_rem, in_counts, out=shares[n_nodes:], where=in_counts > 0
-            )
-            best_share = shares.min()
-            if not math.isfinite(best_share):
-                break
-            candidates = np.flatnonzero(shares == best_share)
-            if candidates.shape[0] == 1:
-                best = int(candidates[0])
-            else:
-                if ranks is None:
-                    ranks = self._tie_break_ranks(src, dst)
-                best = int(candidates[np.argmin(ranks[candidates])])
-            # Freeze the bottleneck's flows at the fair share.
-            if best < n_nodes:
-                selected = unfixed & (src == best)
-            else:
-                selected = unfixed & (dst == best - n_nodes)
-            frozen = np.flatnonzero(selected)
-            rate_val = max(float(best_share), 0.0)
-            rate[frozen] = rate_val
-            unfixed[frozen] = False
-            n_unfixed -= frozen.shape[0]
-            frozen_src = src[frozen]
-            frozen_dst = dst[frozen]
-            # Scalar clamped subtraction per frozen flow, matching the
-            # reference loop's floating-point operation order (the
-            # per-iteration rate is uniform, so order within the batch
-            # cannot change the result).
-            for s_node, d_node in zip(frozen_src.tolist(), frozen_dst.tolist()):
-                out_rem[s_node] = max(out_rem[s_node] - rate_val, 0.0)
-                in_rem[d_node] = max(in_rem[d_node] - rate_val, 0.0)
-            out_counts -= np.bincount(frozen_src, minlength=n_nodes)
-            in_counts -= np.bincount(frozen_dst, minlength=n_nodes)
+        else:
+            self._compute_rates_lists(n)
         self._rates_valid = True
 
-    def _compute_rates_scalar(self, n: int) -> None:
-        """Reference progressive filling over Python scalars.
+    def _compute_rates_lists(self, n: int) -> None:
+        """Reference progressive filling over Python lists.
 
-        Semantically (and bit-for-bit) the same algorithm as the
-        vectorized path: resources tracked in one insertion-ordered
-        dict — (out, src), (in, dst) per flow in flow order — the
-        tightest fair share saturates first, first-inserted resource
-        wins ties, and capacity subtraction clamps per frozen flow.
-
+        The same algorithm as :func:`repro.simulator._kernels.waterfill`:
+        resources ranked by first appearance in the (out, src),
+        (in, dst) sequence over flows in insertion order, the tightest
+        fair share saturates first, the first-ranked resource wins
+        exact ties, and capacity subtraction clamps per frozen flow.
         Active-flow counts per resource are maintained incrementally
-        (decremented as flows freeze) instead of intersecting member
-        sets against the unfixed set on every scan — the shares and
-        the saturation order come out identical, without the O(R)
-        set allocations per water-filling round.
+        (decremented as flows freeze).
         """
-        if n == 1:
-            # One flow: the tighter of its two resources is the unique
-            # bottleneck.  The strict ``<`` scan order makes the out
-            # resource win exact ties, so this is the general loop's
-            # first (and only) round verbatim.
-            lim = self.fleet.limit_at(self._src[0])
-            cap = self.ingress_caps[self._dst[0]]
-            best_share = cap if cap < lim else lim
-            self._rate[0] = best_share if best_share > 0.0 else 0.0
-            return
-        topo = self._scalar_topo
+        topo = self._topo
         if topo is None:
             src = self._src[:n].tolist()
             dst = self._dst[:n].tolist()
-            caps = self.ingress_caps
             # Resources as flat parallel lists in first-appearance order
             # over the (out, src), (in, dst) sequence — the same rank
             # the reference dict ordering produced, without per-round
@@ -468,7 +380,7 @@ class Fabric:
                 res_cnt0[rid] += 1
                 res_flows[rid].append(i)
             topo = (flow_out, flow_in, res_node, res_is_out, res_cnt0, res_flows)
-            self._scalar_topo = topo
+            self._topo = topo
         flow_out, flow_in, res_node, res_is_out, res_cnt0, res_flows = topo
         caps = self.ingress_caps
         fleet = self.fleet
@@ -521,24 +433,6 @@ class Fabric:
                 res_cnt[rid] -= 1
         self._rate[:n] = rates
 
-    def _tie_break_ranks(self, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
-        """Resource order used to break exact fair-share ties.
-
-        Replicates the reference implementation's dict ordering:
-        resources rank by first appearance in the (out, src), (in, dst)
-        sequence over flows in insertion order, and the lowest-ranked
-        resource wins.  Computed lazily — most water-filling iterations
-        have a unique bottleneck.
-        """
-        n = src.shape[0]
-        n_nodes = self.n_nodes
-        positions = 2 * np.arange(n, dtype=np.intp)
-        out_rank = np.full(n_nodes, 2 * n + 2, dtype=np.intp)
-        in_rank = np.full(n_nodes, 2 * n + 2, dtype=np.intp)
-        np.minimum.at(out_rank, src, positions)
-        np.minimum.at(in_rank, dst, positions + 1)
-        return np.concatenate([out_rank, in_rank])
-
     # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------
@@ -553,41 +447,29 @@ class Fabric:
         if self._egress_cache is None:
             n = self._n
             out = self._egress_out
-            if out is not None:
-                out.fill(0.0)
-                if n <= 8:
-                    src = self._src
-                    rate = self._rate
-                    for i in range(n):
-                        out[src[i]] += rate[i]
-                else:
-                    out[:] = np.bincount(
-                        self._src[:n],
-                        weights=self._rate[:n],
-                        minlength=self.n_nodes,
-                    )
-                self._egress_cache = out
-            elif n <= 8:
+            if out is None:
+                out = np.empty(self.n_nodes, dtype=float)
+            if n <= 8:
                 # bincount accumulates weights in input order; this
                 # loop performs the identical additions, skipping the
                 # ufunc dispatch that dominates at campaign-cell sizes.
-                out = np.zeros(self.n_nodes, dtype=float)
+                out.fill(0.0)
                 src = self._src
                 rate = self._rate
                 for i in range(n):
                     out[src[i]] += rate[i]
-                self._egress_cache = out
             else:
-                self._egress_cache = np.bincount(
+                out[:] = np.bincount(
                     self._src[:n], weights=self._rate[:n], minlength=self.n_nodes
                 )
+            self._egress_cache = out
         return self._egress_cache
 
     def node_egress_rates(self) -> np.ndarray:
         """Aggregate send rate per node under the current assignment."""
         return self._egress_raw().copy()
 
-    def horizon(self) -> float:
+    def horizon(self, shaper_bounds: Sequence[float] | None = None) -> float:
         """Seconds the current rate assignment is guaranteed valid.
 
         The bound is the earliest flow completion or shaper transition,
@@ -597,6 +479,13 @@ class Fabric:
         at float-residue-distinct instants resolve together instead of
         fragmenting the simulation into degenerate micro-steps.  Models
         tolerate the resulting sub-epsilon overshoot by contract.
+
+        ``shaper_bounds`` of ``None`` asks this fabric's own fleet.  The
+        batched multistream runner instead gathers every cell's shaper
+        horizons in one super-fleet call and passes this fabric's slice
+        (one horizon per node, from this fleet's state); the combine
+        only selects among those float64 values, so either source gives
+        the same bound.
 
         The flow-completion side is O(flows), and most event steps do
         not move it (steps bounded by compute completions, arrivals,
@@ -610,9 +499,9 @@ class Fabric:
         """
         if not self._rates_valid:
             self.compute_rates()
-        egress = self._egress_raw()
-        shaper_bounds = self.fleet.horizons(egress)
-        shaper_min = float(shaper_bounds.min()) if shaper_bounds.size else math.inf
+        if shaper_bounds is None:
+            shaper_bounds = self.fleet.horizons(self._egress_raw()).tolist()
+        shaper_min = min(shaper_bounds, default=math.inf)
         flow_bound = self._flow_completion_bound(shaper_min)
         bound = flow_bound if flow_bound < shaper_min else shaper_min
         if self.coalesce_eps > 0.0 and 0.0 < bound < math.inf:
@@ -620,46 +509,12 @@ class Fabric:
             # Only scan for near-ties when a shaper is at (or within
             # epsilon of) the binding event; when a flow completion
             # binds well before any shaper, there is nothing to
-            # coalesce.
+            # coalesce.  The near-tied set contains shaper_min, so the
+            # scan seeds its maximum with it.
             if shaper_min <= ceiling:
-                near = shaper_bounds[shaper_bounds <= ceiling]
-                coalesced = float(near.max())
-                if coalesced > bound:
-                    bound = coalesced
-        return bound
-
-    def horizon_with_shaper_bounds(self, shaper_bounds: list[float]) -> float:
-        """:meth:`horizon` with externally computed shaper horizons.
-
-        The batched multistream runner gathers every cell's shaper
-        horizons in one concatenated super-fleet call and hands each
-        fabric its slice (as a plain float list) here.  The combine —
-        shaper minimum, flow completion bound (with the same skip
-        cache), near-tie coalescing — is selection-only over the same
-        float64 values :meth:`horizon` would compute, so the result is
-        bit-identical; only the numpy dispatches on a tiny per-cell
-        array are replaced by scalar Python.
-
-        Callers must have computed rates (the runner's step prologue
-        does) and pass exactly one horizon per node, taken from this
-        fabric's fleet state.
-        """
-        if not self._rates_valid:
-            self.compute_rates()
-        shaper_min = min(shaper_bounds) if shaper_bounds else math.inf
-        flow_bound = self._flow_completion_bound(shaper_min)
-        bound = flow_bound if flow_bound < shaper_min else shaper_min
-        if self.coalesce_eps > 0.0 and 0.0 < bound < math.inf:
-            ceiling = bound * (1.0 + self.coalesce_eps)
-            if shaper_min <= ceiling:
-                # max over {h <= ceiling}: the set contains shaper_min,
-                # so seeding the scan with it is the numpy ``near.max()``.
-                coalesced = shaper_min
                 for h in shaper_bounds:
-                    if h <= ceiling and h > coalesced:
-                        coalesced = h
-                if coalesced > bound:
-                    bound = coalesced
+                    if h <= ceiling and h > bound:
+                        bound = h
         return bound
 
     def _flow_completion_bound(self, shaper_min: float) -> float:
@@ -670,28 +525,18 @@ class Fabric:
         binding shaper event, the O(flows) scan could neither tighten
         the step nor join the coalesced set — skip it and report inf.
         (An infinite ``shaper_min`` never takes this path.)  Otherwise
-        scan (kernel, scalar, or vectorized by flow count) and refresh
-        the cache.
+        scan and refresh the cache.
         """
         n = self._n
         if self._flow_bound_valid and self._flow_bound > shaper_min * (
             1.0 + self.coalesce_eps
         ):
             return math.inf
-        if _kernels.HAVE_JIT and n:
+        if _kernels.HAVE_JIT:
             flow_bound = float(
                 _kernels.flow_min_bound(self._remaining[:n], self._rate[:n])
             )
-        elif n == 1:
-            rem = float(self._remaining[0])
-            rate = float(self._rate[0])
-            if rem <= 0.0:
-                flow_bound = 0.0
-            elif rate <= 0.0:
-                flow_bound = math.inf
-            else:
-                flow_bound = rem / rate
-        elif 0 < n < _SCALAR_CUTOFF:
+        else:
             flow_bound = math.inf
             rates = self._rate[:n].tolist()
             for rem, rate in zip(self._remaining[:n].tolist(), rates):
@@ -703,15 +548,6 @@ class Fabric:
                     completion = rem / rate
                 if completion < flow_bound:
                     flow_bound = completion
-        elif n:
-            remaining = self._remaining[:n]
-            rate = self._rate[:n]
-            completion = np.full(n, math.inf)
-            np.divide(remaining, rate, out=completion, where=rate > 0.0)
-            completion[remaining <= 0.0] = 0.0
-            flow_bound = float(completion.min())
-        else:
-            return math.inf
         self._flow_bound = flow_bound
         self._flow_bound_valid = True
         return flow_bound
@@ -745,70 +581,31 @@ class Fabric:
         its own fleet result.  Both paths run the same flow update,
         compaction, and flow-bound cache maintenance.
         """
-        completed: list[Flow] = []
         n = self._n
-        if n:
-            if _kernels.HAVE_JIT:
-                count = _kernels.advance_flows(
-                    self._remaining[:n],
-                    self._rate[:n],
-                    dt,
-                    _COMPLETE_EPS_GBIT,
-                    self._done_scratch,
-                )
-                if count:
-                    done_idx = self._done_scratch[:count].copy()
-                    completed = [self._handles[i] for i in done_idx.tolist()]
-                    keep = np.ones(n, dtype=bool)
-                    keep[done_idx] = False
-                    self._compact(keep, removed=done_idx)
-                    self._rates_valid = False
-                    self._egress_cache = None
-            elif n == 1:
-                v = float(self._remaining[0]) - float(self._rate[0]) * dt
-                self._remaining[0] = v
+        if _kernels.HAVE_JIT:
+            count = _kernels.advance_flows(
+                self._remaining[:n],
+                self._rate[:n],
+                dt,
+                _COMPLETE_EPS_GBIT,
+                self._done_scratch,
+            )
+            done = self._done_scratch[:count].tolist()
+        else:
+            rem_list = self._remaining[:n].tolist()
+            rate_list = self._rate[:n].tolist()
+            done = []
+            for i in range(n):
+                v = rem_list[i] - rate_list[i] * dt
+                rem_list[i] = v
                 if v <= _COMPLETE_EPS_GBIT:
-                    completed = [self._handles[0]]
-                    self._compact(
-                        np.zeros(1, dtype=bool),
-                        removed=np.zeros(1, dtype=np.intp),
-                    )
-                    self._rates_valid = False
-                    self._egress_cache = None
-            elif n < _SCALAR_CUTOFF:
-                # Scalar loop over a handful of flows: the same
-                # ``remaining -= rate * dt`` multiply-subtract per
-                # element (IEEE-identical to the vectorized update),
-                # without numpy dispatch on tiny arrays.
-                remaining = self._remaining
-                rem_list = remaining[:n].tolist()
-                rate_list = self._rate[:n].tolist()
-                done_list: list[int] = []
-                for i in range(n):
-                    v = rem_list[i] - rate_list[i] * dt
-                    rem_list[i] = v
-                    if v <= _COMPLETE_EPS_GBIT:
-                        done_list.append(i)
-                remaining[:n] = rem_list
-                if done_list:
-                    completed = [self._handles[i] for i in done_list]
-                    keep = np.ones(n, dtype=bool)
-                    keep[done_list] = False
-                    self._compact(
-                        keep, removed=np.array(done_list, dtype=np.intp)
-                    )
-                    self._rates_valid = False
-                    self._egress_cache = None
-            else:
-                remaining = self._remaining[:n]
-                remaining -= self._rate[:n] * dt
-                done = remaining <= _COMPLETE_EPS_GBIT
-                done_idx = np.flatnonzero(done)
-                if done_idx.shape[0]:
-                    completed = [self._handles[i] for i in done_idx.tolist()]
-                    self._compact(~done, removed=done_idx)
-                    self._rates_valid = False
-                    self._egress_cache = None
+                    done.append(i)
+            self._remaining[:n] = rem_list
+        completed = [self._handles[i] for i in done]
+        if completed:
+            self._compact(done)
+            self._rates_valid = False
+            self._egress_cache = None
         if limit_changed:
             self._rates_valid = False
         if completed or limit_changed:

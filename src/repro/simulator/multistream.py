@@ -18,9 +18,8 @@ live cells in lockstep rounds:
 1. per cell: the engine step prologue (rates, telemetry, next
    engine-side event) — pure per-cell Python, unchanged;
 2. **one** ``horizons`` call on the super-fleet over every cell's
-   egress rates, sliced back per cell for the (scalar-Python, bit-
-   identical) horizon combine in
-   :meth:`~repro.simulator.fabric.Fabric.horizon_with_shaper_bounds`;
+   egress rates, sliced back per cell for the horizon combine in
+   :meth:`~repro.simulator.fabric.Fabric.horizon`;
 3. **one** ``advance_many`` call with a per-link ``dt`` vector — each
    cell steps by *its own* event horizon; lockstep synchronizes
    Python-level rounds, never simulated clocks;
@@ -168,9 +167,7 @@ def run_cores(states: "Sequence[EventCore]") -> list:
         for ci in active:
             state = states[ci]
             dt = min(
-                state.fabric.horizon_with_shaper_bounds(
-                    shaper_all[lo[ci] : hi[ci]]
-                ),
+                state.fabric.horizon(shaper_all[lo[ci] : hi[ci]]),
                 events_in[ci],
             )
             if math.isinf(dt):

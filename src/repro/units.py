@@ -37,59 +37,14 @@ def gbps_to_mbps(gbps: float) -> float:
     return gbps * 1_000.0
 
 
-def gbit_to_gbyte(gbit: float) -> float:
-    """Convert gigabits to gigabytes."""
-    return gbit / BITS_PER_BYTE
-
-
-def gbyte_to_gbit(gbyte: float) -> float:
-    """Convert gigabytes to gigabits."""
-    return gbyte * BITS_PER_BYTE
-
-
 def gbit_to_tbyte(gbit: float) -> float:
     """Convert gigabits to terabytes (Figure 10 plots traffic in TB)."""
     return gbit / BITS_PER_BYTE / 1_000.0
 
 
-def tbyte_to_gbit(tbyte: float) -> float:
-    """Convert terabytes to gigabits."""
-    return tbyte * 1_000.0 * BITS_PER_BYTE
-
-
-def mbyte_to_gbit(mbyte: float) -> float:
-    """Convert megabytes to gigabits (shuffle sizes are natural in MB)."""
-    return mbyte / 1_000.0 * BITS_PER_BYTE
-
-
-def gbit_to_mbyte(gbit: float) -> float:
-    """Convert gigabits to megabytes."""
-    return gbit / BITS_PER_BYTE * 1_000.0
-
-
-def kbyte_to_gbit(kbyte: float) -> float:
-    """Convert kilobytes to gigabits (write() sizes in Figure 12 are KB)."""
-    return kbyte / 1_000_000.0 * BITS_PER_BYTE
-
-
-def bytes_to_gbit(n_bytes: float) -> float:
-    """Convert bytes to gigabits (packet sizes are natural in bytes)."""
-    return n_bytes * BITS_PER_BYTE / 1e9
-
-
 def gbit_to_bytes(gbit: float) -> float:
     """Convert gigabits to bytes."""
     return gbit * 1e9 / BITS_PER_BYTE
-
-
-def ms_to_s(ms: float) -> float:
-    """Convert milliseconds to seconds (RTTs are reported in ms)."""
-    return ms / 1_000.0
-
-
-def s_to_ms(seconds: float) -> float:
-    """Convert seconds to milliseconds."""
-    return seconds * 1_000.0
 
 
 def weeks(n: float) -> float:

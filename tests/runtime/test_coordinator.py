@@ -142,12 +142,6 @@ class TestBackoffSchedule:
         shard1 = [policy.delay_s(1, deaths) for deaths in range(1, 3)]
         assert shard1 == pytest.approx([0.055683, 0.124897], abs=1e-6)
 
-    def test_jitter_frac_matches_retry_policy(self):
-        from repro.runtime.coordinator import _jitter_frac
-        from repro.runtime.remote import RetryPolicy
-
-        assert _jitter_frac(7, 0, 3) == RetryPolicy(seed=7).jitter_frac(0, 3)
-
 
 class TestPoisonQuarantine:
     def test_poison_cell_is_quarantined_and_named_exactly(

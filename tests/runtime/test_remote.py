@@ -95,19 +95,6 @@ class TestRetryPolicy:
             abs=1e-6,
         )
 
-    def test_coordinator_draws_the_same_schedule(self):
-        # Worker relaunches and transport retries share one jitter
-        # function; a drift between them would silently decorrelate
-        # chaos reproductions from their recorded timings.
-        from repro.runtime.coordinator import _jitter_frac
-
-        for seed in (0, 7):
-            for shard in (0, 3):
-                for attempt in (1, 2, 5):
-                    assert _jitter_frac(seed, shard, attempt) == RetryPolicy(
-                        seed=seed
-                    ).jitter_frac(shard, attempt)
-
     def test_jitter_is_deterministic_and_bounded(self):
         policy = RetryPolicy(seed=42)
         again = RetryPolicy(seed=42)

@@ -1,5 +1,7 @@
 """Tests for randomized workload generation."""
 
+from itertools import islice
+
 import numpy as np
 import pytest
 
@@ -134,10 +136,13 @@ class TestArrivalIterators:
             np.random.default_rng(11), 2.0, n_jobs=200
         )
         lazy = list(
-            poisson_arrivals_iter(
-                np.random.default_rng(11), 2.0, duration_s=1e9
+            islice(
+                poisson_arrivals_iter(
+                    np.random.default_rng(11), 2.0, duration_s=1e9
+                ),
+                50,
             )
-        )[:50]
+        )
         assert lazy == list(eager[:50])
 
     def test_burst_iter_matches_eager(self):
@@ -146,11 +151,14 @@ class TestArrivalIterators:
             burst_spacing_s=120.0,
         )
         lazy = list(
-            burst_arrivals_iter(
-                np.random.default_rng(13), jobs_per_burst=3,
-                burst_spacing_s=120.0, duration_s=1e9,
+            islice(
+                burst_arrivals_iter(
+                    np.random.default_rng(13), jobs_per_burst=3,
+                    burst_spacing_s=120.0, duration_s=1e9,
+                ),
+                eager.size,
             )
-        )[: eager.size]
+        )
         assert lazy == list(eager)
 
     def test_duration_bounds_and_start_at_zero(self):

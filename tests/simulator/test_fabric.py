@@ -203,44 +203,6 @@ class TestAdvance:
         assert other.rate_gbps == pytest.approx(10.0)
 
 
-class TestScalarVectorEquivalence:
-    @given(
-        n_flows=st.integers(min_value=1, max_value=120),
-        seed=st.integers(min_value=0, max_value=1_000),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_paths_are_bit_identical(self, n_flows, seed):
-        # The scalar reference and the vectorized water-filling must
-        # agree to the last bit: the small-n cutover would otherwise
-        # make results depend on how many flows happen to be in flight.
-        import numpy as np
-
-        from repro.simulator import fabric as fabric_mod
-
-        rng = np.random.default_rng(seed)
-        n = 6
-        flows = []
-        for _ in range(n_flows):
-            src, dst = rng.choice(n, size=2, replace=False)
-            flows.append((int(src), int(dst), float(rng.uniform(1, 100))))
-
-        def rates_with_cutoff(cutoff):
-            original = fabric_mod._SCALAR_CUTOFF
-            fabric_mod._SCALAR_CUTOFF = cutoff
-            try:
-                fab = constant_fabric(n=n, egress=10.0, ingress=8.0)
-                handles = [fab.add_flow(*f) for f in flows]
-                fab.compute_rates()
-                return [h.rate_gbps for h in handles], fab.horizon()
-            finally:
-                fabric_mod._SCALAR_CUTOFF = original
-
-        scalar_rates, scalar_horizon = rates_with_cutoff(10**9)
-        vector_rates, vector_horizon = rates_with_cutoff(0)
-        assert scalar_rates == vector_rates
-        assert scalar_horizon == vector_horizon
-
-
 class TestArrayStateManagement:
     def test_grows_past_initial_capacity(self):
         n = 6

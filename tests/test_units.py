@@ -12,23 +12,14 @@ def test_mbps_gbps_roundtrip():
 
 
 def test_gbit_byte_conversions():
-    assert units.gbit_to_gbyte(8.0) == 1.0
-    assert units.gbyte_to_gbit(1.0) == 8.0
     assert units.gbit_to_tbyte(8000.0) == 1.0
-    assert units.tbyte_to_gbit(1.0) == 8000.0
 
 
 def test_small_size_conversions():
-    assert units.mbyte_to_gbit(125.0) == pytest.approx(1.0)
-    assert units.gbit_to_mbyte(1.0) == pytest.approx(125.0)
-    assert units.kbyte_to_gbit(125_000.0) == pytest.approx(1.0)
-    assert units.bytes_to_gbit(1e9 / 8) == pytest.approx(1.0)
     assert units.gbit_to_bytes(1.0) == pytest.approx(1.25e8)
 
 
 def test_time_conversions():
-    assert units.ms_to_s(1500.0) == 1.5
-    assert units.s_to_ms(1.5) == 1500.0
     assert units.weeks(1) == 604_800.0
     assert units.days(2) == 172_800.0
     assert units.hours(3) == 10_800.0
