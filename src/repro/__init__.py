@@ -71,8 +71,10 @@ The simulator is built as three speed layers, each gated bit-exact
 the layer below by the golden trace and ``repro bench --check``:
 
 1. **Struct-of-arrays hot loops.**  The fabric keeps flows as
-   parallel numpy arrays, and :mod:`repro.netmodel.fleet` batches
-   every node's egress shaper into one vectorized model —
+   parallel numpy arrays plus per-node flow lists (its water-filling
+   topology, kept incrementally as flows arrive and complete), and
+   :mod:`repro.netmodel.fleet` batches every node's egress shaper into
+   one vectorized model —
    :class:`~repro.netmodel.fleet.TokenBucketFleet`,
    :class:`~repro.netmodel.fleet.PerCoreQosFleet`, and friends — so a
    step costs a handful of array ops instead of a Python loop over

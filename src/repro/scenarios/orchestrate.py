@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Mapping
@@ -152,10 +153,15 @@ class ScenarioConfig:
             )
         if self.n_nodes < 2 or self.slots < 1 or self.n_jobs < 1:
             raise ValueError("n_nodes >= 2, slots >= 1, n_jobs >= 1 required")
-        if self.arrival_rate_per_min <= 0 or self.data_scale <= 0:
-            raise ValueError("rates and scales must be positive")
-        if self.deadline_slack < 0:
-            raise ValueError("deadline slack cannot be negative")
+        # The comparisons are written so that NaN fails them.
+        for name in ("arrival_rate_per_min", "data_scale"):
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value}")
+        if not self.deadline_slack >= 0.0:
+            raise ValueError(
+                f"deadline_slack must be non-negative, got {self.deadline_slack}"
+            )
         if self.predecessor is not None and not self.predecessor.startswith(
             "scn-"
         ):

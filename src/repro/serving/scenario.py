@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Mapping
@@ -152,18 +153,23 @@ class ServingConfig:
             raise ValueError("n_nodes must be >= 2")
         if self.depth < 1 or self.breadth < 1:
             raise ValueError("depth and breadth must be >= 1")
-        if self.rate_rps < 0 or self.users < 0:
-            raise ValueError("rate_rps and users cannot be negative")
+        # The comparisons are written so that NaN fails them.
+        if not 0.0 <= self.rate_rps < math.inf:
+            raise ValueError(
+                f"rate_rps must be finite and non-negative, got {self.rate_rps}"
+            )
+        if self.users < 0:
+            raise ValueError("users cannot be negative")
         if self.rate_rps == 0 and self.users == 0:
             raise ValueError("a serving cell needs load: rate_rps, users, or both")
-        if self.duration_s <= 0 or self.payload_scale <= 0:
-            raise ValueError("duration and payload scale must be positive")
-        if self.think_s < 0:
-            raise ValueError("think_s cannot be negative")
-        if min(self.slo_p50_ms, self.slo_p99_ms, self.slo_p999_ms) < 0:
-            raise ValueError("SLO targets cannot be negative")
-        if self.slo_window_s <= 0:
-            raise ValueError("slo_window_s must be positive")
+        for name in ("duration_s", "payload_scale", "slo_window_s"):
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value}")
+        for name in ("think_s", "slo_p50_ms", "slo_p99_ms", "slo_p999_ms"):
+            value = getattr(self, name)
+            if not value >= 0.0:
+                raise ValueError(f"{name} must be non-negative, got {value}")
         if self.predecessor is not None and not self.predecessor.startswith(
             "srv-"
         ):

@@ -35,6 +35,10 @@ are bit-identical.  Per event step the cost is
 * one lazy water-filling — skipped entirely unless a flow arrived or
   completed, a shaper ceiling moved, or a caller invalidated rates;
   otherwise O(bottlenecks x flows);
+* O(changed flows) topology upkeep on the list leg: a flow arrival or
+  completion appends to or removes from its two nodes' flow lists,
+  which the water-filling reads as its resources instead of rebuilding
+  them from every live flow;
 * one cached per-node egress aggregation (``bincount``), shared by
   telemetry, ``horizon``, and ``advance`` instead of recomputed
   thrice;

@@ -16,6 +16,10 @@ assignment stays valid (flow completions and shaper transitions), and
 Internally the fabric is a struct-of-arrays engine: flow endpoints,
 remaining volumes, and rates live in flat numpy arrays kept in flow
 insertion order, and :class:`Flow` objects are handles into them.
+Each node also keeps an out-list and an in-list of its flows' handles
+in insertion order, updated as flows arrive and complete; they are the
+water-fill topology of the list-based reference, so a flow arrival or
+completion costs O(changed flows), not a rebuild over every live flow.
 Each hot loop — water-filling, the flow completion-bound scan, and the
 flow advance — has exactly one algorithm with two backends: the numba
 kernels in :mod:`repro.simulator._kernels` when they compile, else the
@@ -150,13 +154,18 @@ class Fabric:
             self.fleet = egress_models
         else:
             self.fleet = build_fleet(egress_models)
-        if coalesce_eps < 0:
-            raise ValueError("coalesce_eps cannot be negative")
+        # Comparisons written to fail on NaN, which passes ``< 0``.
+        if not 0.0 <= coalesce_eps < math.inf:
+            raise ValueError(
+                f"coalesce_eps must be finite and non-negative, got {coalesce_eps}"
+            )
         self.coalesce_eps = float(coalesce_eps)
         if self.fleet.n != len(ingress_caps_gbps):
             raise ValueError("one ingress cap per egress model required")
-        if any(cap <= 0 for cap in ingress_caps_gbps):
-            raise ValueError("ingress caps must be positive")
+        if not all(cap > 0 for cap in ingress_caps_gbps):
+            raise ValueError(
+                f"ingress caps must be positive, got {list(ingress_caps_gbps)}"
+            )
         self.egress_models = list(self.fleet.models)
         self.ingress_caps = [float(c) for c in ingress_caps_gbps]
         #: Number of nodes attached to the fabric.
@@ -183,12 +192,11 @@ class Fabric:
         self._flow_bound_valid = False
         #: Scratch for the compiled advance kernel's completed indices.
         self._done_scratch = np.empty(_MIN_CAPACITY, dtype=np.int64)
-        #: Cached water-filling topology (resource ids, flow adjacency)
-        #: for the current flow set; rebuilt whenever flows are added
-        #: or removed.  Between flow-set changes only the resource
-        #: capacities (shaper limits) move, so the per-step reference
-        #: fill reuses the structure (see :meth:`_compute_rates_lists`).
-        self._topo: tuple | None = None
+        #: Per-node handles of the flows leaving (``_out_flows``) and
+        #: entering (``_in_flows``) each node, in insertion order: the
+        #: water-filling topology of :meth:`_compute_rates_lists`.
+        self._out_flows: list[list[Flow]] = [[] for _ in range(self.n_nodes)]
+        self._in_flows: list[list[Flow]] = [[] for _ in range(self.n_nodes)]
         #: Optional external buffer for the egress cache (a view into
         #: the multistream runner's shared staging array); ``None``
         #: means refills allocate their own array.
@@ -218,8 +226,10 @@ class Fabric:
             raise ValueError(f"flow endpoints out of range: {src}->{dst}")
         if src == dst:
             raise ValueError("loopback transfers never touch the fabric")
-        if volume_gbit <= 0:
-            raise ValueError("flow volume must be positive")
+        if not 0.0 < volume_gbit < math.inf:
+            raise ValueError(
+                f"flow volume must be positive and finite, got {volume_gbit}"
+            )
         if self._n == self._src.shape[0]:
             self._grow()
         index = self._n
@@ -233,11 +243,12 @@ class Fabric:
         self._next_id += 1
         self.flows[flow.flow_id] = flow
         self._handles.append(flow)
+        self._out_flows[src].append(flow)
+        self._in_flows[dst].append(flow)
         self._n = index + 1
         self._rates_valid = False
         self._egress_cache = None
         self._flow_bound_valid = False
-        self._topo = None
         return flow
 
     def remove_flow(self, flow: Flow) -> None:
@@ -264,28 +275,31 @@ class Fabric:
         self._done_scratch = np.empty(capacity, dtype=np.int64)
 
     def _compact(self, removed: list[int]) -> None:
-        """Drop the flows at indices ``removed``, preserving insertion order."""
+        """Drop the flows at ascending indices ``removed``, keeping order.
+
+        Only the survivors behind the first removed index move down, so
+        only they are re-indexed.
+        """
         n = self._n
-        self._topo = None
-        keep = np.ones(n, dtype=bool)
-        keep[removed] = False
-        for i in removed:
-            handle = self._handles[i]
+        lo = removed[0]
+        handles = self._handles
+        for i in reversed(removed):
+            handle = handles[i]
             handle._remaining = float(self._remaining[i])
             handle._rate = float(self._rate[i])
             handle._fabric = None
             handle._index = -1
             del self.flows[handle.flow_id]
-        kept = np.flatnonzero(keep)
-        k = kept.shape[0]
-        self._src[:k] = self._src[:n][keep]
-        self._dst[:k] = self._dst[:n][keep]
-        self._remaining[:k] = self._remaining[:n][keep]
-        self._rate[:k] = self._rate[:n][keep]
-        handles = [self._handles[i] for i in kept.tolist()]
-        for index, handle in enumerate(handles):
-            handle._index = index
-        self._handles = handles
+            self._out_flows[handle.src].remove(handle)
+            self._in_flows[handle.dst].remove(handle)
+            del handles[i]
+        k = n - len(removed)
+        keep = np.ones(n - lo, dtype=bool)
+        keep[[i - lo for i in removed]] = False
+        for arr in (self._src, self._dst, self._remaining, self._rate):
+            arr[lo:k] = arr[lo:n][keep]
+        for index in range(lo, k):
+            handles[index]._index = index
         self._n = k
 
     # ------------------------------------------------------------------
@@ -323,89 +337,53 @@ class Fabric:
         self._rates_valid = True
 
     def _compute_rates_lists(self, n: int) -> None:
-        """Reference progressive filling over Python lists.
+        """Reference progressive filling over the per-node flow lists.
 
         The same algorithm as :func:`repro.simulator._kernels.waterfill`:
         resources ranked by first appearance in the (out, src),
         (in, dst) sequence over flows in insertion order, the tightest
         fair share saturates first, the first-ranked resource wins
         exact ties, and capacity subtraction clamps per frozen flow.
+
+        Resource ids are ``node`` (egress) and ``n_nodes + node``
+        (ingress); their members are the node's out- and in-lists.  Flow
+        ids are issued in insertion order, so a resource's rank key is
+        twice its first flow's id, plus one for an ingress resource,
+        and each call only sorts the non-empty resources by that key.
         Active-flow counts per resource are maintained incrementally
         (decremented as flows freeze).
         """
-        topo = self._topo
-        if topo is None:
-            src = self._src[:n].tolist()
-            dst = self._dst[:n].tolist()
-            # Resources as flat parallel lists in first-appearance order
-            # over the (out, src), (in, dst) sequence — the same rank
-            # the reference dict ordering produced, without per-round
-            # dict and set churn.  ``res_flows`` adjacency is
-            # deduplicated by construction (a flow's out and in
-            # resources are distinct).  The structure depends only on
-            # the flow set, so it is cached until flows change; the
-            # capacities (shaper limits, ingress caps) are re-read on
-            # every call below.
-            out_id = [-1] * self.n_nodes
-            in_id = [-1] * self.n_nodes
-            flow_out = [0] * n
-            flow_in = [0] * n
-            res_node: list[int] = []
-            res_is_out: list[bool] = []
-            res_cnt0: list[int] = []
-            res_flows: list[list[int]] = []
-            for i in range(n):
-                node = src[i]
-                rid = out_id[node]
-                if rid < 0:
-                    rid = len(res_node)
-                    out_id[node] = rid
-                    res_node.append(node)
-                    res_is_out.append(True)
-                    res_cnt0.append(0)
-                    res_flows.append([])
-                flow_out[i] = rid
-                res_cnt0[rid] += 1
-                res_flows[rid].append(i)
-                node = dst[i]
-                rid = in_id[node]
-                if rid < 0:
-                    rid = len(res_node)
-                    in_id[node] = rid
-                    res_node.append(node)
-                    res_is_out.append(False)
-                    res_cnt0.append(0)
-                    res_flows.append([])
-                flow_in[i] = rid
-                res_cnt0[rid] += 1
-                res_flows[rid].append(i)
-            topo = (flow_out, flow_in, res_node, res_is_out, res_cnt0, res_flows)
-            self._topo = topo
-        flow_out, flow_in, res_node, res_is_out, res_cnt0, res_flows = topo
-        caps = self.ingress_caps
+        n_nodes = self.n_nodes
+        res_flows = self._out_flows + self._in_flows
+        keyed = [
+            (2 * members[0].flow_id, node)
+            for node, members in enumerate(self._out_flows)
+            if members
+        ]
         fleet = self.fleet
-        if sum(res_is_out) <= 4:
+        if len(keyed) <= 4:
             # Few sending nodes: scalar limit reads beat materializing
             # (and list-converting) the whole fleet's limit array.
-            res_rem = [
-                (fleet.limit_at(node) if is_out else caps[node])
-                for node, is_out in zip(res_node, res_is_out)
-            ]
+            res_rem = [0.0] * n_nodes + self.ingress_caps
+            for _, node in keyed:
+                res_rem[node] = fleet.limit_at(node)
         else:
-            limits = fleet.limits().tolist()
-            res_rem = [
-                (limits[node] if is_out else caps[node])
-                for node, is_out in zip(res_node, res_is_out)
-            ]
-        res_cnt = res_cnt0.copy()
-        n_res = len(res_rem)
+            res_rem = fleet.limits().tolist() + self.ingress_caps
+        keyed += [
+            (2 * members[0].flow_id + 1, n_nodes + node)
+            for node, members in enumerate(self._in_flows)
+            if members
+        ]
+        keyed.sort()
+        order = [rid for _, rid in keyed]
+        res_cnt = [len(members) for members in res_flows]
         rates = [0.0] * n
         fixed = [False] * n
         n_unfixed = n
         while n_unfixed:
             best = -1
             best_share = math.inf
-            for rid in range(n_res):
+            for rid in order:
                 count = res_cnt[rid]
                 if count:
                     share = res_rem[rid] / count
@@ -417,17 +395,18 @@ class Fabric:
             # ``v if v > 0.0 else 0.0`` is ``max(v, 0.0)``: -0.0 cannot
             # arise from IEEE subtraction under round-to-nearest.
             rate_val = best_share if best_share > 0.0 else 0.0
-            for i in res_flows[best]:
+            for flow in res_flows[best]:
+                i = flow._index
                 if fixed[i]:
                     continue
                 fixed[i] = True
                 rates[i] = rate_val
                 n_unfixed -= 1
-                rid = flow_out[i]
+                rid = flow.src
                 v = res_rem[rid] - rate_val
                 res_rem[rid] = v if v > 0.0 else 0.0
                 res_cnt[rid] -= 1
-                rid = flow_in[i]
+                rid = n_nodes + flow.dst
                 v = res_rem[rid] - rate_val
                 res_rem[rid] = v if v > 0.0 else 0.0
                 res_cnt[rid] -= 1
@@ -563,7 +542,7 @@ class Fabric:
         invalidated even when no flow completed — rates computed
         against the old ceiling are stale.
         """
-        if dt < 0:
+        if not dt >= 0.0:
             raise ValueError(f"dt must be non-negative, got {dt}")
         if not self._rates_valid:
             self.compute_rates()

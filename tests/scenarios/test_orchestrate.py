@@ -1,5 +1,7 @@
 """Tests for scenario-campaign orchestration."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -59,6 +61,20 @@ class TestScenarioConfig:
             ScenarioConfig(n_jobs=0)
         with pytest.raises(ValueError):
             ScenarioConfig(arrival_rate_per_min=0.0)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("arrival_rate_per_min", math.nan),
+            ("arrival_rate_per_min", math.inf),
+            ("data_scale", math.nan),
+            ("data_scale", math.inf),
+            ("deadline_slack", math.nan),
+        ],
+    )
+    def test_non_finite_fields_rejected_by_name(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            ScenarioConfig(**{field: value})
 
 
 class TestRunScenario:

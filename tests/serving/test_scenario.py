@@ -6,6 +6,7 @@ constant-rate fabric at the same class-median capacity passes.
 """
 
 import dataclasses
+import math
 
 import pytest
 
@@ -67,6 +68,30 @@ class TestServingConfig:
             ServingConfig(rate_rps=0.0, users=0)
         with pytest.raises(ValueError, match="predecessor"):
             ServingConfig(predecessor="scn-123")
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("rate_rps", math.nan),
+            ("rate_rps", math.inf),
+            ("duration_s", math.nan),
+            ("duration_s", math.inf),
+            ("think_s", math.nan),
+            ("payload_scale", math.nan),
+            ("payload_scale", math.inf),
+            ("slo_p50_ms", math.nan),
+            ("slo_p99_ms", math.nan),
+            ("slo_p999_ms", math.nan),
+            ("slo_window_s", math.nan),
+            ("slo_window_s", math.inf),
+        ],
+    )
+    def test_non_finite_fields_rejected_by_name(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            ServingConfig(**{field: value})
+
+    def test_infinite_slo_target_and_think_time_allowed(self):
+        ServingConfig(slo_p99_ms=math.inf, think_s=math.inf)
 
     def test_slo_policy_disabled_when_all_targets_zero(self):
         config = ServingConfig(

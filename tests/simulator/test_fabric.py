@@ -34,8 +34,24 @@ class TestFlowManagement:
             constant_fabric(n=2).add_flow(0, 5, 10.0)
 
     def test_zero_volume_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="flow volume"):
             constant_fabric().add_flow(0, 1, 0.0)
+
+    @pytest.mark.parametrize("volume", [-1.0, math.nan, math.inf])
+    def test_non_finite_or_negative_volume_rejected(self, volume):
+        with pytest.raises(ValueError, match="flow volume"):
+            constant_fabric().add_flow(0, 1, volume)
+
+    @pytest.mark.parametrize("cap", [0.0, -1.0, math.nan])
+    def test_bad_ingress_cap_rejected(self, cap):
+        with pytest.raises(ValueError, match="ingress caps"):
+            Fabric([ConstantRateModel(1.0)] * 2, [1.0, cap])
+
+    def test_infinite_ingress_cap_allowed(self):
+        fabric = Fabric([ConstantRateModel(3.0)] * 2, [math.inf, math.inf])
+        flow = fabric.add_flow(0, 1, 10.0)
+        fabric.compute_rates()
+        assert flow.rate_gbps == 3.0
 
     def test_mismatched_construction(self):
         with pytest.raises(ValueError):
@@ -161,8 +177,15 @@ class TestAdvance:
         assert model.budget_gbit == pytest.approx(30.0)
 
     def test_negative_dt_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="dt"):
             constant_fabric().advance(-1.0)
+
+    def test_nan_dt_rejected(self):
+        fabric = constant_fabric()
+        flow = fabric.add_flow(0, 1, 10.0)
+        with pytest.raises(ValueError, match="dt"):
+            fabric.advance(math.nan)
+        assert flow.remaining_gbit == 10.0
 
     def test_empty_fabric_horizon_infinite(self):
         assert math.isinf(constant_fabric().horizon())
@@ -332,7 +355,10 @@ class TestEventHorizonCoalescing:
         assert fabric.horizon() == pytest.approx(flow.completion_time())
 
     def test_negative_coalesce_eps_rejected(self):
-        with pytest.raises(ValueError):
-            Fabric(
-                [ConstantRateModel(10.0)], [10.0], coalesce_eps=-1e-9
-            )
+        with pytest.raises(ValueError, match="coalesce_eps"):
+            Fabric([ConstantRateModel(10.0)], [10.0], coalesce_eps=-1e-9)
+
+    @pytest.mark.parametrize("eps", [math.nan, math.inf])
+    def test_non_finite_coalesce_eps_rejected(self, eps):
+        with pytest.raises(ValueError, match="coalesce_eps"):
+            Fabric([ConstantRateModel(10.0)], [10.0], coalesce_eps=eps)
