@@ -90,7 +90,8 @@ the layer below by the golden trace and ``repro bench --check``:
    :func:`repro.simulator.multistream.run_streams` stitches many
    independent cells' fleets into one concatenated super-fleet and
    advances all cells per lockstep round with a single ``horizons`` /
-   ``advance_many`` call pair — the SoA trick applied across cells —
+   ``advance`` call pair, ``advance`` taking one ``dt`` per link — the
+   SoA trick applied across cells —
    which amortizes per-cell numpy dispatch and makes million-cell
    campaign matrices cheap.  The campaign runtime exposes it as an
    opt-in batch executor; per-cell results are byte-identical to

@@ -23,8 +23,8 @@ interface so the emulator, measurement probes, and cluster simulator
 can drive any of them interchangeably.  For whole-cluster simulation,
 :mod:`repro.netmodel.fleet` batches N links into one
 :class:`~repro.netmodel.fleet.LinkModelFleet` with struct-of-arrays
-state (vectorized limit/horizon/advance; the scalar objects remain
-live views into the fleet), falling back to a per-model
+state (vectorized limit/horizon/advance; the scalar objects' state
+slots read and write the fleet arrays), falling back to a per-model
 :class:`~repro.netmodel.fleet.ScalarFleetAdapter` loop for
 heterogeneous or custom models.
 """

@@ -17,10 +17,13 @@ Spark cluster (Section 4).
 
 For whole-cluster simulation, N scalar models batch into a
 :class:`~repro.netmodel.fleet.LinkModelFleet` (see
-:mod:`repro.netmodel.fleet`): the fleet owns the hot state in flat
-arrays and the scalar objects become live views into it, so the
-per-link contract here stays the semantic reference — every fleet
-operation must match N scalar calls bit for bit.
+:mod:`repro.netmodel.fleet`).  A model declares its mutable state as
+:class:`FleetSlot` attributes; when a fleet adopts the model, each
+slot's value moves into one flat fleet array and the attribute reads
+and writes that array cell instead of a local field.  The scalar
+methods therefore run unchanged on adopted models, and they stay the
+semantic reference: every fleet operation must match N scalar calls
+bit for bit.
 """
 
 from __future__ import annotations
@@ -28,7 +31,13 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 
-__all__ = ["LinkModel", "ConstantRateModel", "integrate_transfer", "TransferResult"]
+__all__ = [
+    "LinkModel",
+    "ConstantRateModel",
+    "FleetSlot",
+    "integrate_transfer",
+    "TransferResult",
+]
 
 #: Step-count bound for the generic idle-rest fallback: a model whose
 #: horizon collapses (e.g. a shaper hovering at a state boundary) must
@@ -36,8 +45,55 @@ __all__ = ["LinkModel", "ConstantRateModel", "integrate_transfer", "TransferResu
 _MAX_REST_STEPS = 10_000
 
 
+class FleetSlot:
+    """One piece of a model's state: a local field, or a fleet array cell.
+
+    Declared on a :class:`LinkModel` subclass as
+    ``_budget = FleetSlot("_budget")``.  Until a fleet adopts the model
+    the value lives in the instance field ``<attribute>_local``; after
+    adoption (``model._fleet`` set) it lives at
+    ``fleet.<array>[model._fleet_index]``.  ``cast`` converts array
+    reads back to Python scalars and is the dtype of the fleet array.
+    ``fleet_write`` names a fleet method ``(index, value)`` that
+    replaces the plain array store, for fleets that cache values
+    derived from the slot.
+    """
+
+    def __init__(
+        self, array: str, cast: type = float, fleet_write: str | None = None
+    ) -> None:
+        self.array = array
+        self.cast = cast
+        self.fleet_write = fleet_write
+
+    def __set_name__(self, owner: type, name: str) -> None:
+        self.local = f"{name}_local"
+
+    def __get__(self, model, owner=None):
+        if model is None:
+            return self
+        fleet = model._fleet
+        if fleet is None:
+            return model.__dict__[self.local]
+        return self.cast(getattr(fleet, self.array)[model._fleet_index])
+
+    def __set__(self, model, value) -> None:
+        fleet = model._fleet
+        if fleet is None:
+            model.__dict__[self.local] = value
+        elif self.fleet_write is None:
+            getattr(fleet, self.array)[model._fleet_index] = value
+        else:
+            getattr(fleet, self.fleet_write)(model._fleet_index, value)
+
+
 class LinkModel(ABC):
     """Stateful bandwidth ceiling for one direction of one link."""
+
+    #: The fleet that adopted this model and the model's link index in
+    #: it; see :class:`FleetSlot`.
+    _fleet = None
+    _fleet_index = -1
 
     @abstractmethod
     def limit(self) -> float:
@@ -78,7 +134,7 @@ class LinkModel(ABC):
         idle dynamics override this (:class:`TokenBucketModel` refills
         in a single analytic step).
         """
-        if duration_s < 0:
+        if not duration_s >= 0.0:
             raise ValueError(f"duration must be non-negative, got {duration_s}")
         remaining = duration_s
         min_step = duration_s / _MAX_REST_STEPS
@@ -103,7 +159,7 @@ class ConstantRateModel(LinkModel):
         return math.inf
 
     def advance(self, dt: float, send_rate_gbps: float) -> None:
-        if dt < 0:
+        if not dt >= 0.0:
             raise ValueError(f"dt must be non-negative, got {dt}")
 
     def reset(self) -> None:

@@ -3,21 +3,26 @@
 A fluid-fabric step must ask *every* node's egress shaper for its
 ceiling, its horizon under the node's aggregate send rate, and then
 advance it — per step.  With scalar :class:`~repro.netmodel.base.LinkModel`
-objects that is a Python-level loop of N method calls, and it dominates
-step cost once the water-filling itself is vectorized (the remaining
-~40% pinned by the PR 2 profile).  A :class:`LinkModelFleet` replaces
-the loop with struct-of-arrays state and single numpy expressions.
+objects that is a Python-level loop of N method calls per step.  A
+:class:`LinkModelFleet` replaces the loop with struct-of-arrays state
+and single numpy expressions.
 
-Fleets *adopt* the scalar models they are built from: the hot state
-(token budgets, resample clocks) moves into flat fleet arrays and the
-scalar objects become read/write views into them — the same handle
-pattern :class:`~repro.simulator.fabric.Flow` uses — so existing code
-that pokes an individual model (``set_budget``, ``reset``, telemetry
-reads) stays correct with zero synchronization logic.  Every batched
-operation performs the exact same floating-point operations, in the
-same order, as N scalar calls would, which is what lets the
-golden-trace test pin fleet and scalar outputs bit-for-bit against
-each other.
+Each fleet has one step method, :meth:`LinkModelFleet.advance`.  Its
+``dt`` is either one float (a fabric step) or one value per link (a
+concatenated super-fleet stepping many independent cells at once, see
+:func:`concat_fleets`); numpy broadcasting makes both forms the same
+elementwise arithmetic.
+
+Fleets *adopt* the scalar models they are built from
+(:meth:`LinkModelFleet._adopt`): every
+:class:`~repro.netmodel.base.FleetSlot` of the model (token budgets,
+resample clocks) moves into a flat fleet array and the attribute reads
+and writes through to it, so existing code that pokes an individual
+model (``set_budget``, ``reset``, telemetry reads) stays correct with
+zero synchronization logic.  Every batched operation performs the
+exact same floating-point operations, in the same order, as N scalar
+calls would, which is what lets the golden-trace test pin fleet and
+scalar outputs bit-for-bit against each other.
 
 Five implementations:
 
@@ -47,11 +52,17 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
+from itertools import repeat
 from typing import Sequence
 
 import numpy as np
 
-from repro.netmodel.base import _MAX_REST_STEPS, ConstantRateModel, LinkModel
+from repro.netmodel.base import (
+    _MAX_REST_STEPS,
+    ConstantRateModel,
+    FleetSlot,
+    LinkModel,
+)
 from repro.netmodel.percore import PerCoreQosModel
 from repro.netmodel.stochastic import (
     Ar1QuantileModel,
@@ -71,6 +82,40 @@ __all__ = [
 ]
 
 
+def _check_dt(dt: float | np.ndarray) -> None:
+    """Reject a negative or NaN ``dt`` (one float or one per link).
+
+    The float form stays a plain Python comparison: the serial step
+    pays no numpy dispatch for it.
+    """
+    if isinstance(dt, np.ndarray):
+        ok = (dt >= 0.0).all()
+    else:
+        ok = dt >= 0.0
+    if not ok:
+        raise ValueError(f"dt must be non-negative, got {dt}")
+
+
+def _check_duration(duration_s: float) -> None:
+    if not duration_s >= 0.0:
+        raise ValueError(f"duration must be non-negative, got {duration_s}")
+
+
+def _wrap_interval(elapsed: float, interval: float) -> tuple[float, int]:
+    """Subtract whole resample intervals from ``elapsed``.
+
+    Returns the residue and the number of boundaries crossed.  This is
+    the scalar models' repeated-subtraction loop, so the residue
+    carries the same float error (a division would not).
+    """
+    threshold = interval - 1e-12
+    crossings = 0
+    while elapsed >= threshold:
+        elapsed -= interval
+        crossings += 1
+    return elapsed, crossings
+
+
 class LinkModelFleet(ABC):
     """Batched :class:`~repro.netmodel.base.LinkModel` over N links.
 
@@ -88,8 +133,9 @@ class LinkModelFleet(ABC):
 
     #: Optional observability callback, ``hook(changed_indices,
     #: limits)``, invoked from :meth:`advance` when any link's ceiling
-    #: actually changed — ``changed_indices`` is an int array of the
-    #: links that flipped and ``limits`` the fresh post-step ceilings.
+    #: actually changed — ``changed_indices`` is the sorted int array
+    #: ``np.flatnonzero(mask)`` of the returned mask and ``limits``
+    #: the fresh post-step ceilings.
     #: Class-level None: attaching a recorder costs nothing until a
     #: transition occurs, and the unhooked path stays allocation-free.
     transition_hook = None
@@ -106,9 +152,9 @@ class LinkModelFleet(ABC):
     def limit_at(self, index: int) -> float:
         """One link's current rate ceiling, exactly ``limits()[index]``.
 
-        Single-flow water-filling needs exactly one ceiling; subclasses
-        override this with a scalar state read so the hot path skips
-        materializing the whole fleet's limit array.
+        The list-based water-fill reads single ceilings when only a few
+        nodes send; subclasses override this with a scalar state read
+        so that path skips materializing the whole fleet's limit array.
         """
         return float(self.limits()[index])
 
@@ -121,44 +167,41 @@ class LinkModelFleet(ABC):
         """
 
     @abstractmethod
-    def advance(self, dt: float, send_rates: np.ndarray) -> bool:
+    def advance(
+        self, dt: float | np.ndarray, send_rates: np.ndarray
+    ) -> np.ndarray | None:
         """Account ``dt`` seconds of per-link traffic.
 
-        Returns True when any link's ceiling changed over the step —
-        the signal :meth:`~repro.simulator.fabric.Fabric.advance` uses
-        to invalidate its rate assignment.
-        """
-
-    def advance_many(
-        self, dt: np.ndarray, send_rates: np.ndarray
-    ) -> np.ndarray | None:
-        """Per-link-``dt`` variant of :meth:`advance` for batched runs.
-
-        ``dt`` carries one step length per link, so independent
-        simulation cells sharing one concatenated super-fleet (see
-        :func:`concat_fleets`) can each take their own event step in a
-        single fleet call.  Every per-link float operation is the exact
-        operation :meth:`advance` performs with that link's scalar
-        ``dt`` — the batched form is bit-identical per link, which the
-        multistream runner's equivalence tests pin.
+        ``dt`` is one float, or one step length per link so that
+        independent cells sharing a concatenated super-fleet (see
+        :func:`concat_fleets`) each take their own event step in one
+        call.  Every operation is elementwise in ``dt``, so link ``i``
+        sees bit-identical arithmetic either way.  A negative or NaN
+        ``dt`` raises ValueError.
 
         Returns ``None`` when no link's ceiling changed, else a per-link
-        boolean mask of the links whose ceiling changed.  The mask may
-        be an internal scratch buffer: consume it before the next fleet
-        call.  No :attr:`transition_hook` fires from this path —
-        batched runs do not support recorders.
+        boolean mask of the links whose ceiling changed — the signal
+        :meth:`~repro.simulator.fabric.Fabric.advance` uses to
+        invalidate its rate assignment.  The mask may be an internal
+        scratch buffer: consume it before the next fleet call.  The
+        :attr:`transition_hook`, when set, fires with the mask's
+        indices before the return.
         """
-        raise NotImplementedError(
-            f"{type(self).__name__} does not support batched advance"
-        )
 
-    @abstractmethod
     def rest(self, duration_s: float) -> None:
-        """Idle every link for ``duration_s`` (buckets refill)."""
+        """Idle every link for ``duration_s`` (buckets refill).
 
-    @abstractmethod
+        Default: each model's own scalar ``rest`` (draws still come
+        from each model's own generator, through its fleet slots).
+        """
+        _check_duration(duration_s)
+        for model in self.models:
+            model.rest(duration_s)
+
     def reset(self) -> None:
         """Restore every link's pristine initial state."""
+        for model in self.models:
+            model.reset()
 
     def budgets(self) -> np.ndarray | None:
         """Per-link token budgets (Gbit), or None when not exposed.
@@ -166,6 +209,53 @@ class LinkModelFleet(ABC):
         Returned array may be an internal view — treat as read-only.
         """
         return None
+
+    def _alloc_scratch(self, n: int) -> None:
+        """Allocate per-fleet scratch buffers for ``n`` links.
+
+        Scratch is never shared: :func:`concat_fleets` calls this on
+        the super-fleet so it gets buffers sized to its own link count.
+        """
+
+    def _adopt(self, models: Sequence[LinkModel], kinds: tuple[type, ...]) -> None:
+        """Take over ``models``: the one adoption protocol of every fleet.
+
+        Checks each model is exactly one of ``kinds`` and not adopted
+        elsewhere, copies each :class:`~repro.netmodel.base.FleetSlot`
+        of ``kinds[0]`` (the kinds share their slots) into a fleet
+        array of the slot's name, then points every model at this
+        fleet so its slots read and write those arrays.
+        """
+        models = list(models)
+        for model in models:
+            if type(model) not in kinds:
+                raise TypeError(f"{type(self).__name__} cannot adopt {model!r}")
+            if model._fleet is not None:
+                raise ValueError("model already adopted by another fleet")
+        self.models = models
+        for klass in kinds[0].__mro__:
+            for slot in vars(klass).values():
+                if isinstance(slot, FleetSlot):
+                    values = [slot.__get__(model) for model in models]
+                    setattr(self, slot.array, np.array(values, dtype=slot.cast))
+        for index, model in enumerate(models):
+            model._fleet = self
+            model._fleet_index = index
+
+    def _report(self, mask: np.ndarray) -> np.ndarray:
+        """Fire the transition hook for ``mask``'s links; return ``mask``."""
+        hook = self.transition_hook
+        if hook is not None:
+            hook(np.flatnonzero(mask), self.limits())
+        return mask
+
+    def _report_indices(self, changed: list[int]) -> np.ndarray | None:
+        """:meth:`_report` for a list of changed link indices."""
+        if not changed:
+            return None
+        mask = np.zeros(self.n, dtype=bool)
+        mask[changed] = True
+        return self._report(mask)
 
 
 class ScalarFleetAdapter(LinkModelFleet):
@@ -195,48 +285,20 @@ class ScalarFleetAdapter(LinkModelFleet):
             dtype=float,
         )
 
-    def advance(self, dt: float, send_rates: np.ndarray) -> bool:
-        changed_indices: list[int] | None = None
-        for index, (model, rate) in enumerate(
-            zip(self.models, send_rates.tolist())
-        ):
-            before = model.limit()
-            model.advance(dt, rate)
-            if model.limit() != before:
-                if changed_indices is None:
-                    changed_indices = []
-                changed_indices.append(index)
-        if changed_indices is None:
-            return False
-        hook = self.transition_hook
-        if hook is not None:
-            hook(np.asarray(changed_indices, dtype=np.intp), self.limits())
-        return True
-
-    def advance_many(
-        self, dt: np.ndarray, send_rates: np.ndarray
+    def advance(
+        self, dt: float | np.ndarray, send_rates: np.ndarray
     ) -> np.ndarray | None:
-        if np.any(dt < 0.0):
-            raise ValueError("dt must be non-negative elementwise")
-        mask: np.ndarray | None = None
+        _check_dt(dt)
+        steps = dt.tolist() if isinstance(dt, np.ndarray) else repeat(dt)
+        changed = []
         for index, (model, step, rate) in enumerate(
-            zip(self.models, dt.tolist(), send_rates.tolist())
+            zip(self.models, steps, send_rates.tolist())
         ):
             before = model.limit()
             model.advance(step, rate)
             if model.limit() != before:
-                if mask is None:
-                    mask = np.zeros(len(self.models), dtype=bool)
-                mask[index] = True
-        return mask
-
-    def rest(self, duration_s: float) -> None:
-        for model in self.models:
-            model.rest(duration_s)
-
-    def reset(self) -> None:
-        for model in self.models:
-            model.reset()
+                changed.append(index)
+        return self._report_indices(changed)
 
     def budgets(self) -> np.ndarray | None:
         if all(hasattr(m, "budget_gbit") for m in self.models):
@@ -255,13 +317,8 @@ class TokenBucketFleet(LinkModelFleet):
     """
 
     def __init__(self, models: Sequence[TokenBucketModel]) -> None:
-        models = list(models)
-        for model in models:
-            if type(model) is not TokenBucketModel:
-                raise TypeError(f"not a TokenBucketModel: {model!r}")
-            if model._fleet is not None:
-                raise ValueError("model already adopted by another fleet")
-        self.models = models
+        self._adopt(models, (TokenBucketModel,))
+        models = self.models
         params = [m.params for m in models]
         self._peak = np.array([p.peak_gbps for p in params], dtype=float)
         self._capped = np.array([p.capped_gbps for p in params], dtype=float)
@@ -279,24 +336,13 @@ class TokenBucketFleet(LinkModelFleet):
         ]
         self._reset_budget = np.minimum(np.array(starts, dtype=float), self._capacity)
         self._reset_throttled = self._reset_budget <= 0.0
-        # Adopt: move current scalar state into the arrays.
-        self._budget = np.array([m._budget_local for m in models], dtype=float)
-        self._throttled = np.array(
-            [m._throttled_local for m in models], dtype=bool
-        )
-        n = len(models)
-        self._zeros = np.zeros(n, dtype=float)
-        # Dispatch-count economies for the per-step hot path: scratch
-        # buffers (arrays this small are dominated by allocation and
-        # ufunc-dispatch overhead, not arithmetic) and precomputed
-        # constants.
+        # Dispatch-count economies for the per-step hot path:
+        # precomputed constants and scratch buffers (arrays this small
+        # are dominated by allocation and ufunc-dispatch overhead, not
+        # arithmetic).
         self._resume_minus_eps = self._resume - _EMPTY_EPS_GBIT
         self._tier_differs = self._capped != self._peak
-        self._f64_scratch = np.empty(n, dtype=float)
-        self._f64_scratch2 = np.empty(n, dtype=float)
-        self._bool_scratch = np.empty(n, dtype=bool)
-        self._bool_scratch2 = np.empty(n, dtype=bool)
-        self._horizon_out = np.empty(n, dtype=float)
+        self._alloc_scratch(len(models))
         # Tier-flip threshold per link: a high link flips when its
         # budget hits 0 (== any value at/below the empty snap, since
         # advance snaps (0, eps] to 0), a throttled link when the
@@ -305,9 +351,14 @@ class TokenBucketFleet(LinkModelFleet):
         self._flip_threshold = np.where(
             self._throttled, self._resume_minus_eps, _EMPTY_EPS_GBIT
         )
-        for index, model in enumerate(models):
-            model._fleet = self
-            model._fleet_index = index
+
+    def _alloc_scratch(self, n: int) -> None:
+        self._zeros = np.zeros(n, dtype=float)
+        self._f64_scratch = np.empty(n, dtype=float)
+        self._f64_scratch2 = np.empty(n, dtype=float)
+        self._bool_scratch = np.empty(n, dtype=bool)
+        self._bool_scratch2 = np.empty(n, dtype=bool)
+        self._horizon_out = np.empty(n, dtype=float)
 
     def _sync_thresholds(self) -> None:
         """Recompute the cached flip thresholds from ``_throttled``.
@@ -375,9 +426,10 @@ class TokenBucketFleet(LinkModelFleet):
                 out[zero] = 0.0
         return out
 
-    def advance(self, dt: float, send_rates: np.ndarray) -> bool:
-        if dt < 0:
-            raise ValueError(f"dt must be non-negative, got {dt}")
+    def advance(
+        self, dt: float | np.ndarray, send_rates: np.ndarray
+    ) -> np.ndarray | None:
+        _check_dt(dt)
         budget = self._budget
         step = np.subtract(self._replenish, send_rates, out=self._f64_scratch)
         step *= dt
@@ -396,52 +448,21 @@ class TokenBucketFleet(LinkModelFleet):
         throttled = self._throttled
         np.not_equal(flipped, throttled, out=flipped)
         if not flipped.any():
-            return False
+            return None
         np.logical_xor(throttled, flipped, out=throttled)
         self._sync_thresholds()
         # The ceiling only moves when the tier flips on a link whose
         # two tiers actually differ.
         np.logical_and(flipped, self._tier_differs, out=flipped)
-        changed = bool(flipped.any())
-        if changed:
-            hook = self.transition_hook
-            if hook is not None:
-                hook(np.flatnonzero(flipped), self.limits())
-        return changed
-
-    def advance_many(
-        self, dt: np.ndarray, send_rates: np.ndarray
-    ) -> np.ndarray | None:
-        # The exact :meth:`advance` expression chain with a per-link
-        # ``dt``: every operation is elementwise, so link ``i`` sees
-        # bit-identical arithmetic to a scalar ``advance(dt[i], ...)``.
-        # (min() is a pure reduction — no comparison temporary.)
-        if dt.size and float(dt.min()) < 0.0:
-            raise ValueError("dt must be non-negative elementwise")
-        budget = self._budget
-        step = np.subtract(self._replenish, send_rates, out=self._f64_scratch)
-        step *= dt
-        budget += step
-        np.maximum(budget, 0.0, out=budget)
-        np.minimum(budget, self._capacity, out=budget)
-        alive = np.greater(budget, _EMPTY_EPS_GBIT, out=self._bool_scratch)
-        np.multiply(budget, alive, out=budget)
-        flipped = np.less(budget, self._flip_threshold, out=self._bool_scratch)
-        throttled = self._throttled
-        np.not_equal(flipped, throttled, out=flipped)
         if not flipped.any():
             return None
-        np.logical_xor(throttled, flipped, out=throttled)
-        self._sync_thresholds()
-        np.logical_and(flipped, self._tier_differs, out=flipped)
-        return flipped
+        return self._report(flipped)
 
     def rest(self, duration_s: float) -> None:
         # Analytic idle refill, exactly TokenBucketModel.rest: with no
         # offered traffic the net fill rate is `replenish` in both
         # tiers, so one batched advance covers the whole interval.
-        if duration_s < 0:
-            raise ValueError(f"duration must be non-negative, got {duration_s}")
+        _check_duration(duration_s)
         self.advance(duration_s, self._zeros)
 
     def reset(self) -> None:
@@ -473,24 +494,14 @@ class ConstantRateFleet(LinkModelFleet):
     def horizons(self, send_rates: np.ndarray) -> np.ndarray:
         return np.full(self._rates.shape[0], math.inf)
 
-    def advance(self, dt: float, send_rates: np.ndarray) -> bool:
-        if dt < 0:
-            raise ValueError(f"dt must be non-negative, got {dt}")
-        return False
-
-    def advance_many(
-        self, dt: np.ndarray, send_rates: np.ndarray
+    def advance(
+        self, dt: float | np.ndarray, send_rates: np.ndarray
     ) -> np.ndarray | None:
-        if np.any(dt < 0.0):
-            raise ValueError("dt must be non-negative elementwise")
+        _check_dt(dt)
         return None
 
     def rest(self, duration_s: float) -> None:
-        if duration_s < 0:
-            raise ValueError(f"duration must be non-negative, got {duration_s}")
-
-    def reset(self) -> None:
-        pass
+        _check_duration(duration_s)
 
 
 class ResamplingFleet(LinkModelFleet):
@@ -510,19 +521,10 @@ class ResamplingFleet(LinkModelFleet):
     _ADOPTABLE = (UniformQuantileSamplingModel, Ar1QuantileModel)
 
     def __init__(self, models: Sequence[LinkModel]) -> None:
-        models = list(models)
-        for model in models:
-            if type(model) not in self._ADOPTABLE:
-                raise TypeError(f"not a resampling model: {model!r}")
-            if model._fleet is not None:
-                raise ValueError("model already adopted by another fleet")
-        self.models = models
-        self._intervals = np.array([m._interval for m in models], dtype=float)
-        self._elapsed = np.array([m._elapsed_local for m in models], dtype=float)
-        self._current = np.array([m._current_local for m in models], dtype=float)
-        for index, model in enumerate(models):
-            model._fleet = self
-            model._fleet_index = index
+        self._adopt(models, self._ADOPTABLE)
+        self._intervals = np.array(
+            [m._interval for m in self.models], dtype=float
+        )
 
     def limits(self) -> np.ndarray:
         return self._current.copy()
@@ -533,74 +535,32 @@ class ResamplingFleet(LinkModelFleet):
     def horizons(self, send_rates: np.ndarray) -> np.ndarray:
         return np.maximum(self._intervals - self._elapsed, 0.0)
 
-    def advance(self, dt: float, send_rates: np.ndarray) -> bool:
-        if dt < 0:
-            raise ValueError(f"dt must be non-negative, got {dt}")
-        elapsed = self._elapsed
-        elapsed += dt
-        crossed = elapsed >= self._intervals - 1e-12
-        if not crossed.any():
-            return False
-        changed_indices: list[int] | None = None
-        current = self._current
-        for i in np.flatnonzero(crossed).tolist():
-            interval = float(self._intervals[i])
-            e = float(elapsed[i])
-            k = 0
-            # Same repeated subtraction as the scalar while-loop, so
-            # the elapsed residue carries identical float error.
-            while e >= interval - 1e-12:
-                e -= interval
-                k += 1
-            elapsed[i] = e
-            value = self.models[i]._draw_batch(k)
-            if value != current[i]:
-                if changed_indices is None:
-                    changed_indices = []
-                changed_indices.append(i)
-            current[i] = value
-        if changed_indices is None:
-            return False
-        hook = self.transition_hook
-        if hook is not None:
-            hook(np.asarray(changed_indices, dtype=np.intp), self.limits())
-        return True
-
-    def advance_many(
-        self, dt: np.ndarray, send_rates: np.ndarray
+    def advance(
+        self, dt: float | np.ndarray, send_rates: np.ndarray
     ) -> np.ndarray | None:
-        if np.any(dt < 0.0):
-            raise ValueError("dt must be non-negative elementwise")
+        _check_dt(dt)
         elapsed = self._elapsed
         elapsed += dt
         crossed = elapsed >= self._intervals - 1e-12
         if not crossed.any():
             return None
-        mask: np.ndarray | None = None
+        changed = []
         current = self._current
         for i in np.flatnonzero(crossed).tolist():
-            interval = float(self._intervals[i])
-            e = float(elapsed[i])
-            k = 0
-            while e >= interval - 1e-12:
-                e -= interval
-                k += 1
+            e, k = _wrap_interval(float(elapsed[i]), float(self._intervals[i]))
             elapsed[i] = e
             value = self.models[i]._draw_batch(k)
             if value != current[i]:
-                if mask is None:
-                    mask = np.zeros(elapsed.shape[0], dtype=bool)
-                mask[i] = True
+                changed.append(i)
             current[i] = value
-        return mask
+        return self._report_indices(changed)
 
     def rest(self, duration_s: float) -> None:
         # Mirrors the generic LinkModel.rest horizon-stepping loop per
         # link (the clockwork is RNG-independent, so step sizes and
         # crossing counts replicate exactly), then takes every crossed
         # boundary's draw in one batched RNG call per link.
-        if duration_s < 0:
-            raise ValueError(f"duration must be non-negative, got {duration_s}")
+        _check_duration(duration_s)
         min_step = duration_s / _MAX_REST_STEPS
         elapsed = self._elapsed
         current = self._current
@@ -611,18 +571,12 @@ class ResamplingFleet(LinkModelFleet):
             k = 0
             while remaining > 1e-9:
                 step = min(remaining, max(interval - e, min_step, 1e-6))
-                e += step
-                while e >= interval - 1e-12:
-                    e -= interval
-                    k += 1
+                e, crossings = _wrap_interval(e + step, interval)
+                k += crossings
                 remaining -= step
             elapsed[i] = e
             if k:
                 current[i] = model._draw_batch(k)
-
-    def reset(self) -> None:
-        for model in self.models:
-            model.reset()
 
 
 class PerCoreQosFleet(LinkModelFleet):
@@ -644,13 +598,8 @@ class PerCoreQosFleet(LinkModelFleet):
     """
 
     def __init__(self, models: Sequence[PerCoreQosModel]) -> None:
-        models = list(models)
-        for model in models:
-            if type(model) is not PerCoreQosModel:
-                raise TypeError(f"not a PerCoreQosModel: {model!r}")
-            if model._fleet is not None:
-                raise ValueError("model already adopted by another fleet")
-        self.models = models
+        self._adopt(models, (PerCoreQosModel,))
+        models = self.models
         self._qos = np.array([m.qos_gbps for m in models], dtype=float)
         self._ramp = np.array([m.ramp_s for m in models], dtype=float)
         self._idle_reset = np.array([m.idle_reset_s for m in models], dtype=float)
@@ -658,18 +607,12 @@ class PerCoreQosFleet(LinkModelFleet):
         # Same threshold value the scalar while-loop computes each
         # iteration (``interval_s - 1e-12``), hoisted per link.
         self._interval_eps = self._interval - 1e-12
-        # Adopt: move current scalar state into the arrays.
-        self._age = np.array([m._age_local for m in models], dtype=float)
-        self._idle = np.array([m._idle_local for m in models], dtype=float)
-        self._elapsed = np.array([m._elapsed_local for m in models], dtype=float)
-        self._eff = np.array([m._eff_local for m in models], dtype=float)
-        n = len(models)
+        self._alloc_scratch(len(models))
+
+    def _alloc_scratch(self, n: int) -> None:
         self._f64_scratch = np.empty(n, dtype=float)
         self._bool_scratch = np.empty(n, dtype=bool)
         self._bool_scratch2 = np.empty(n, dtype=bool)
-        for index, model in enumerate(models):
-            model._fleet = self
-            model._fleet_index = index
 
     def limits(self) -> np.ndarray:
         return self._qos * self._eff
@@ -682,9 +625,10 @@ class PerCoreQosFleet(LinkModelFleet):
         np.maximum(out, 0.0, out=out)
         return out
 
-    def advance(self, dt: float, send_rates: np.ndarray) -> bool:
-        if dt < 0:
-            raise ValueError(f"dt must be non-negative, got {dt}")
+    def advance(
+        self, dt: float | np.ndarray, send_rates: np.ndarray
+    ) -> np.ndarray | None:
+        _check_dt(dt)
         age = self._age
         idle = self._idle
         elapsed = self._elapsed
@@ -721,115 +665,30 @@ class PerCoreQosFleet(LinkModelFleet):
             if old_eff is None:
                 old_eff = {}
             for i in np.flatnonzero(crossed).tolist():
-                interval = float(self._interval[i])
-                threshold = float(self._interval_eps[i])
-                e = float(elapsed[i])
-                k = 0
-                # Same repeated subtraction as the scalar while-loop,
-                # so the elapsed residue carries identical float error.
-                while e >= threshold:
-                    e -= interval
-                    k += 1
-                elapsed[i] = e
-                if i not in old_eff:
-                    old_eff[i] = float(eff[i])
-                eff[i] = self.models[i]._draw_efficiency_batch(k)
-        if old_eff is None:
-            return False
-        changed_indices = sorted(
-            i for i, before in old_eff.items() if eff[i] != before
-        )
-        if not changed_indices:
-            return False
-        hook = self.transition_hook
-        if hook is not None:
-            hook(np.asarray(changed_indices, dtype=np.intp), self.limits())
-        return True
-
-    def advance_many(
-        self, dt: np.ndarray, send_rates: np.ndarray
-    ) -> np.ndarray | None:
-        # :meth:`advance` with a per-link ``dt``; every clockwork
-        # update is elementwise and the redraw loops replay the scalar
-        # operation order per link, so link ``i`` is bit-identical to a
-        # scalar ``advance(dt[i], ...)``.
-        if np.any(dt < 0.0):
-            raise ValueError("dt must be non-negative elementwise")
-        age = self._age
-        idle = self._idle
-        elapsed = self._elapsed
-        eff = self._eff
-        sending = np.greater(send_rates, 1e-9, out=self._bool_scratch)
-        old_eff: dict[int, float] | None = None
-        resume = np.greater_equal(idle, self._idle_reset, out=self._bool_scratch2)
-        np.logical_and(resume, sending, out=resume)
-        if resume.any():
-            old_eff = {}
-            for i in np.flatnonzero(resume).tolist():
-                age[i] = 0.0
-                old_eff[i] = float(eff[i])
-                eff[i] = self.models[i]._draw_efficiency()
-        np.add(age, dt, out=age, where=sending)
-        notsending = np.logical_not(sending, out=self._bool_scratch2)
-        np.add(idle, dt, out=idle, where=notsending)
-        idle[sending] = 0.0
-        elapsed += dt
-        crossed = np.greater_equal(
-            elapsed, self._interval_eps, out=self._bool_scratch2
-        )
-        if crossed.any():
-            if old_eff is None:
-                old_eff = {}
-            for i in np.flatnonzero(crossed).tolist():
-                interval = float(self._interval[i])
-                threshold = float(self._interval_eps[i])
-                e = float(elapsed[i])
-                k = 0
-                while e >= threshold:
-                    e -= interval
-                    k += 1
+                e, k = _wrap_interval(float(elapsed[i]), float(self._interval[i]))
                 elapsed[i] = e
                 if i not in old_eff:
                     old_eff[i] = float(eff[i])
                 eff[i] = self.models[i]._draw_efficiency_batch(k)
         if old_eff is None:
             return None
-        mask: np.ndarray | None = None
-        for i, before in old_eff.items():
-            if eff[i] != before:
-                if mask is None:
-                    mask = np.zeros(eff.shape[0], dtype=bool)
-                mask[i] = True
-        return mask
-
-    def rest(self, duration_s: float) -> None:
-        # Per-model generic horizon-stepping rest: the scalar reference
-        # (rest is a between-repetitions cold path; draws still come
-        # from each model's own generator, via the fleet views).
-        if duration_s < 0:
-            raise ValueError(f"duration must be non-negative, got {duration_s}")
-        for model in self.models:
-            model.rest(duration_s)
-
-    def reset(self) -> None:
-        for model in self.models:
-            model.reset()
+        return self._report_indices(
+            [i for i, before in old_eff.items() if eff[i] != before]
+        )
 
 
-def build_fleet(
-    models: Sequence[LinkModel], prefer_scalar: bool = False
-) -> LinkModelFleet:
+def build_fleet(models: Sequence[LinkModel]) -> LinkModelFleet:
     """Choose the best fleet implementation for ``models``.
 
     Homogeneous lists of the known model *exact* types get their
     vectorized fleet (the two resampling classes may mix, since their
     clockwork is shared); anything else — mixed fleets, subclasses,
     models already adopted elsewhere — falls back to the scalar
-    adapter, which is always correct.  ``prefer_scalar`` forces the
-    adapter (reference/regression-comparison runs).
+    adapter, which is always correct.  Reference runs construct
+    :class:`ScalarFleetAdapter` directly.
     """
     models = list(models)
-    if prefer_scalar or not models:
+    if not models:
         return ScalarFleetAdapter(models)
     if any(getattr(m, "_fleet", None) is not None for m in models):
         return ScalarFleetAdapter(models)
@@ -889,7 +748,7 @@ def concat_fleets(fleets: Sequence[LinkModelFleet]) -> LinkModelFleet:
     concatenated in order, and each member fleet's array attributes are
     *rebound to slice views* of the concatenation — after this call the
     member fleets and the super-fleet read and write the same memory.
-    One ``horizons``/``advance_many`` call on the super-fleet then
+    One ``horizons``/``advance`` call on the super-fleet then
     covers every member link while scalar model handles, per-member
     ``limits()``/``budgets()`` reads, and member-level ``reset`` keep
     working unchanged (all fleet mutators write in place).
@@ -897,9 +756,9 @@ def concat_fleets(fleets: Sequence[LinkModelFleet]) -> LinkModelFleet:
     This is the multistream runner's core trick: N independent
     simulation cells, each with its own few-link fleet, pay one numpy
     dispatch per batched operation instead of N.  Per-link arithmetic
-    is unchanged — ``advance_many`` takes a per-link ``dt`` so each
-    cell still steps by its own event horizon, bit-identically to its
-    standalone ``advance``.
+    is unchanged — ``advance`` takes a per-link ``dt`` so each cell
+    still steps by its own event horizon, bit-identically to its
+    standalone float-``dt`` ``advance``.
 
     All fleets must be the same concrete class (heterogeneous batches
     would need per-class dispatch — group cells first).  Transition
@@ -937,16 +796,5 @@ def concat_fleets(fleets: Sequence[LinkModelFleet]) -> LinkModelFleet:
             hi = lo + part.shape[0]
             setattr(fleet, name, merged[lo:hi])
             lo = hi
-    n = len(models)
-    if cls is TokenBucketFleet:
-        super_fleet._zeros = np.zeros(n, dtype=float)
-        super_fleet._f64_scratch = np.empty(n, dtype=float)
-        super_fleet._f64_scratch2 = np.empty(n, dtype=float)
-        super_fleet._bool_scratch = np.empty(n, dtype=bool)
-        super_fleet._bool_scratch2 = np.empty(n, dtype=bool)
-        super_fleet._horizon_out = np.empty(n, dtype=float)
-    elif cls is PerCoreQosFleet:
-        super_fleet._f64_scratch = np.empty(n, dtype=float)
-        super_fleet._bool_scratch = np.empty(n, dtype=bool)
-        super_fleet._bool_scratch2 = np.empty(n, dtype=bool)
+    super_fleet._alloc_scratch(len(models))
     return super_fleet

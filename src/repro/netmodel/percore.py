@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.netmodel.base import LinkModel
+from repro.netmodel.base import FleetSlot, LinkModel
 from repro.netmodel.distributions import QuantileDistribution
 
 __all__ = ["PerCoreQosModel"]
@@ -44,13 +44,17 @@ class PerCoreQosModel(LinkModel):
 
     When a :class:`~repro.netmodel.fleet.PerCoreQosFleet` adopts the
     model, the stream-age/idle-gap/interval clockwork and the current
-    efficiency draw move into the fleet's struct-of-arrays storage and
-    this handle reads/writes through (the same pattern
-    :class:`~repro.netmodel.token_bucket.TokenBucketModel` uses), so
-    scalar pokes (``reset``, state snapshots) stay coherent with
-    batched fleet advances.  The seeded generator stays on the model —
-    per-node draw sequences are identical either way.
+    efficiency draw move into the fleet's arrays (see
+    :class:`~repro.netmodel.base.FleetSlot`), so scalar pokes
+    (``reset``, state snapshots) stay coherent with batched fleet
+    advances.  The seeded generator stays on the model — per-node draw
+    sequences are identical either way.
     """
+
+    _stream_age = FleetSlot("_age")
+    _idle_time = FleetSlot("_idle")
+    _elapsed_in_interval = FleetSlot("_elapsed")
+    _efficiency = FleetSlot("_eff")
 
     def __init__(
         self,
@@ -81,65 +85,7 @@ class PerCoreQosModel(LinkModel):
         self.interval_s = float(interval_s)
         self._seed = seed
         self._rng = np.random.default_rng(seed)
-        self._fleet = None
-        self._fleet_index = -1
-        self._age_local = 0.0
-        self._idle_local = 0.0
-        self._elapsed_local = 0.0
-        self._eff_local = 1.0
         self.reset()
-
-    @property
-    def _stream_age(self) -> float:
-        if self._fleet is None:
-            return self._age_local
-        return float(self._fleet._age[self._fleet_index])
-
-    @_stream_age.setter
-    def _stream_age(self, value: float) -> None:
-        if self._fleet is None:
-            self._age_local = value
-        else:
-            self._fleet._age[self._fleet_index] = value
-
-    @property
-    def _idle_time(self) -> float:
-        if self._fleet is None:
-            return self._idle_local
-        return float(self._fleet._idle[self._fleet_index])
-
-    @_idle_time.setter
-    def _idle_time(self, value: float) -> None:
-        if self._fleet is None:
-            self._idle_local = value
-        else:
-            self._fleet._idle[self._fleet_index] = value
-
-    @property
-    def _elapsed_in_interval(self) -> float:
-        if self._fleet is None:
-            return self._elapsed_local
-        return float(self._fleet._elapsed[self._fleet_index])
-
-    @_elapsed_in_interval.setter
-    def _elapsed_in_interval(self, value: float) -> None:
-        if self._fleet is None:
-            self._elapsed_local = value
-        else:
-            self._fleet._elapsed[self._fleet_index] = value
-
-    @property
-    def _efficiency(self) -> float:
-        if self._fleet is None:
-            return self._eff_local
-        return float(self._fleet._eff[self._fleet_index])
-
-    @_efficiency.setter
-    def _efficiency(self, value: float) -> None:
-        if self._fleet is None:
-            self._eff_local = value
-        else:
-            self._fleet._eff[self._fleet_index] = value
 
     def reset(self) -> None:
         self._rng = np.random.default_rng(self._seed)
@@ -177,7 +123,7 @@ class PerCoreQosModel(LinkModel):
         return max(self.interval_s - self._elapsed_in_interval, 0.0)
 
     def advance(self, dt: float, send_rate_gbps: float) -> None:
-        if dt < 0:
+        if not dt >= 0.0:
             raise ValueError(f"dt must be non-negative, got {dt}")
         sending = send_rate_gbps > 1e-9
         if sending:

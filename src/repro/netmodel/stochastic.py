@@ -23,7 +23,7 @@ import math
 import numpy as np
 from scipy import stats as _scipy_stats
 
-from repro.netmodel.base import LinkModel
+from repro.netmodel.base import FleetSlot, LinkModel
 from repro.netmodel.distributions import QuantileDistribution
 
 __all__ = ["UniformQuantileSamplingModel", "Ar1QuantileModel"]
@@ -34,13 +34,16 @@ class _ResamplingModel(LinkModel):
 
     When a :class:`~repro.netmodel.fleet.ResamplingFleet` adopts the
     model, the interval clockwork (``elapsed``/``current``) moves into
-    the fleet's flat arrays and this handle reads/writes through; the
-    RNG stays on the model so each node keeps its own per-seed draw
+    the fleet's flat arrays (see :class:`~repro.netmodel.base.FleetSlot`);
+    the RNG stays on the model so each node keeps its own per-seed draw
     sequence bit-exactly.  Long advances redraw through
     :meth:`_draw_batch`, which subclasses override to pull every
     crossed-boundary draw in one RNG call (sequence-identical to the
     scalar one-draw-per-boundary loop, which remains the reference).
     """
+
+    _elapsed_in_interval = FleetSlot("_elapsed")
+    _current = FleetSlot("_current")
 
     def __init__(self, interval_s: float, seed: int) -> None:
         if interval_s <= 0:
@@ -48,36 +51,6 @@ class _ResamplingModel(LinkModel):
         self._interval = float(interval_s)
         self._seed = seed
         self._rng = np.random.default_rng(seed)
-        self._fleet = None
-        self._fleet_index = -1
-        self._elapsed_local = 0.0
-        self._current_local = 0.0
-
-    @property
-    def _elapsed_in_interval(self) -> float:
-        if self._fleet is None:
-            return self._elapsed_local
-        return float(self._fleet._elapsed[self._fleet_index])
-
-    @_elapsed_in_interval.setter
-    def _elapsed_in_interval(self, value: float) -> None:
-        if self._fleet is None:
-            self._elapsed_local = value
-        else:
-            self._fleet._elapsed[self._fleet_index] = value
-
-    @property
-    def _current(self) -> float:
-        if self._fleet is None:
-            return self._current_local
-        return float(self._fleet._current[self._fleet_index])
-
-    @_current.setter
-    def _current(self, value: float) -> None:
-        if self._fleet is None:
-            self._current_local = value
-        else:
-            self._fleet._current[self._fleet_index] = value
 
     def _draw(self) -> float:
         raise NotImplementedError
@@ -111,7 +84,7 @@ class _ResamplingModel(LinkModel):
         return max(self._interval - self._elapsed_in_interval, 0.0)
 
     def advance(self, dt: float, send_rate_gbps: float) -> None:
-        if dt < 0:
+        if not dt >= 0.0:
             raise ValueError(f"dt must be non-negative, got {dt}")
         self._elapsed_in_interval += dt
         # Tolerate callers that overshoot the horizon slightly; redraw

@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from repro.netmodel.base import LinkModel
+from repro.netmodel.base import FleetSlot, LinkModel
 
 __all__ = ["TokenBucketParams", "TokenBucketModel"]
 
@@ -100,47 +100,20 @@ class TokenBucketModel(LinkModel):
       only once it exceeds ``resume_threshold_gbit``.
 
     When a :class:`~repro.netmodel.fleet.TokenBucketFleet` adopts the
-    model, the authoritative ``budget``/``throttled`` state moves into
-    the fleet's struct-of-arrays storage and this handle reads/writes
-    through (the same pattern :class:`~repro.simulator.fabric.Flow`
-    uses), so scalar calls like :meth:`set_budget` stay consistent with
-    batched fleet advances.
+    model, the ``budget``/``throttled`` state moves into the fleet's
+    arrays (see :class:`~repro.netmodel.base.FleetSlot`), so scalar
+    calls like :meth:`set_budget` stay consistent with batched fleet
+    advances.
     """
+
+    _budget = FleetSlot("_budget")
+    #: Writes go through the fleet so its cached flip threshold stays
+    #: coherent with the tier flag.
+    _throttled = FleetSlot("_throttled", bool, fleet_write="_set_throttled")
 
     def __init__(self, params: TokenBucketParams) -> None:
         self.params = params
-        self._fleet = None
-        self._fleet_index = -1
-        self._budget_local = 0.0
-        self._throttled_local = False
         self.reset()
-
-    @property
-    def _budget(self) -> float:
-        if self._fleet is None:
-            return self._budget_local
-        return float(self._fleet._budget[self._fleet_index])
-
-    @_budget.setter
-    def _budget(self, value: float) -> None:
-        if self._fleet is None:
-            self._budget_local = value
-        else:
-            self._fleet._budget[self._fleet_index] = value
-
-    @property
-    def _throttled(self) -> bool:
-        if self._fleet is None:
-            return self._throttled_local
-        return bool(self._fleet._throttled[self._fleet_index])
-
-    @_throttled.setter
-    def _throttled(self, value: bool) -> None:
-        if self._fleet is None:
-            self._throttled_local = value
-        else:
-            # Via the fleet so its cached flip threshold stays coherent.
-            self._fleet._set_throttled(self._fleet_index, value)
 
     def reset(self) -> None:
         start = self.params.initial_budget_gbit
@@ -202,7 +175,7 @@ class TokenBucketModel(LinkModel):
         return self._budget / -fill
 
     def advance(self, dt: float, send_rate_gbps: float) -> None:
-        if dt < 0:
+        if not dt >= 0.0:
             raise ValueError(f"dt must be non-negative, got {dt}")
         if send_rate_gbps < 0:
             raise ValueError("send rate cannot be negative")

@@ -42,8 +42,8 @@ are bit-identical.  Per event step the cost is
 * one cached per-node egress aggregation (``bincount``), shared by
   telemetry, ``horizon``, and ``advance`` instead of recomputed
   thrice;
-* one ``advance``/``horizon``/``limit`` call per shaper model (these
-  stay scalar objects so heterogeneous fleets keep working);
+* one ``horizons`` and one ``advance`` call on the node shapers'
+  fleet (:mod:`repro.netmodel.fleet`), not one call per model;
 * O(1) scheduler bookkeeping: runnable stages are maintained
   incrementally at stage-completion/launch-exhaustion events, and
   launch passes are skipped on steps where no slot was freed, no

@@ -292,6 +292,15 @@ class EventCore:
             f"deadlock at t={self.now}: no flows, no timers, no arrivals"
         )
 
+    def step_budget_error(self) -> RuntimeError:
+        """The error both drivers raise when ``max_steps`` runs out."""
+        next_timer = self.timer_heap[0][0] if self.timer_heap else math.inf
+        return RuntimeError(
+            f"step budget exhausted at t={self.now} after {self._n_steps} "
+            f"steps: {self.fabric._n} live flows, next timer at "
+            f"t={next_timer}; stream did not converge"
+        )
+
     def finish(self):
         """Final sample, observability teardown, result assembly."""
         self.fabric.compute_rates()
@@ -320,5 +329,5 @@ class EventCore:
             completed_flows = fabric.advance(dt)
             self.step_epilogue(dt, completed_flows)
         else:
-            raise RuntimeError("step budget exhausted; stream did not converge")
+            raise self.step_budget_error()
         return self.finish()

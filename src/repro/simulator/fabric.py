@@ -547,7 +547,7 @@ class Fabric:
         if not self._rates_valid:
             self.compute_rates()
         egress = self._egress_raw()
-        limit_changed = self.fleet.advance(dt, egress)
+        limit_changed = self.fleet.advance(dt, egress) is not None
         return self._advance_flows(dt, limit_changed)
 
     def _advance_flows(self, dt: float, limit_changed: bool) -> list[Flow]:

@@ -20,7 +20,7 @@ live cells in lockstep rounds:
 2. **one** ``horizons`` call on the super-fleet over every cell's
    egress rates, sliced back per cell for the horizon combine in
    :meth:`~repro.simulator.fabric.Fabric.horizon`;
-3. **one** ``advance_many`` call with a per-link ``dt`` vector — each
+3. **one** fleet ``advance`` call with a per-link ``dt`` vector — each
    cell steps by *its own* event horizon; lockstep synchronizes
    Python-level rounds, never simulated clocks;
 4. per cell: flow integration and the engine step epilogue.
@@ -175,7 +175,7 @@ def run_cores(states: "Sequence[EventCore]") -> list:
             dt_cells[ci] = dt if dt > 0.0 else 0.0
         dt_buf[:] = dt_cells
         np.take(dt_buf, cell_of_link, out=dt_links)
-        changed_links = super_fleet.advance_many(dt_links, all_egress)
+        changed_links = super_fleet.advance(dt_links, all_egress)
         changed_cells = (
             None
             if changed_links is None
@@ -201,9 +201,7 @@ def run_cores(states: "Sequence[EventCore]") -> list:
                 continue
             steps_left[ci] -= 1
             if steps_left[ci] <= 0:
-                raise RuntimeError(
-                    "step budget exhausted; stream did not converge"
-                )
+                raise state.step_budget_error()
             still_active.append(ci)
         active = still_active
     for state in states:

@@ -210,3 +210,26 @@ class TestSeamEquivalence:
             for r in run_cores([stream_state(seed=s) for s in seeds])
         ]
         assert batched == serial
+
+
+class TestStepBudget:
+    """Both drivers raise ``EventCore.step_budget_error`` at max_steps."""
+
+    _MESSAGE = (
+        r"step budget exhausted at t=\S+ after 3 steps: \d+ live flows, "
+        r"next timer at t=\S+; stream did not converge"
+    )
+
+    def test_execute_raises_step_budget_error(self):
+        state = stream_state()
+        state.max_steps = 3
+        with pytest.raises(RuntimeError, match=self._MESSAGE) as info:
+            state.execute()
+        assert str(info.value) == str(state.step_budget_error())
+
+    def test_run_cores_raises_step_budget_error(self):
+        states = [stream_state(seed=s) for s in (401, 402)]
+        states[1].max_steps = 3
+        with pytest.raises(RuntimeError, match=self._MESSAGE) as info:
+            run_cores(states)
+        assert str(info.value) == str(states[1].step_budget_error())

@@ -13,14 +13,22 @@ import math
 import numpy as np
 import pytest
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.netmodel import (
+    Ar1QuantileModel,
     ConstantRateModel,
+    QuantileDistribution,
     TokenBucketModel,
     TokenBucketParams,
 )
+from repro.netmodel.base import FleetSlot
 from repro.netmodel.fleet import (
+    ConstantRateFleet,
     PerCoreQosFleet,
     ResamplingFleet,
+    ScalarFleetAdapter,
     TokenBucketFleet,
     build_fleet,
     concat_fleets,
@@ -178,6 +186,86 @@ class TestRunStreamsEquivalence:
             run_streams([StreamTask(engine, [])])
 
 
+_QOS_DIST = QuantileDistribution(probs=(0.01, 0.5, 0.99), values=(4.0, 8.0, 10.0))
+
+
+def _bucket_model(m, j):
+    return TokenBucketModel(
+        (
+            _BUCKET,
+            TokenBucketParams(10.0, 1.0, 1.05, 20.0, resume_threshold_gbit=1.0),
+            # Equal tiers: the bucket flips, the ceiling never moves.
+            TokenBucketParams(5.0, 5.0, 0.5, 30.0, initial_budget_gbit=2.0),
+        )[(m + j) % 3]
+    )
+
+
+def _resampling_model(m, j):
+    if j % 2:
+        return Ar1QuantileModel(_QOS_DIST, interval_s=2.5, phi=0.5, seed=10 * m + j)
+    return UniformQuantileSamplingModel(
+        _QOS_DIST, interval_s=3.0 + m, seed=10 * m + j
+    )
+
+
+def _percore_model(m, j):
+    return PerCoreQosModel(
+        cores=1 + j,
+        ramp_s=2.0,
+        idle_reset_s=3.0 + j,
+        interval_s=1.5 + 0.7 * j,
+        seed=10 * m + j,
+    )
+
+
+#: Per fleet class: link j of member m.  The adapter gets a mixed list.
+_MEMBER_MODELS = {
+    TokenBucketFleet: _bucket_model,
+    ConstantRateFleet: lambda m, j: ConstantRateModel(5.0 + m + j),
+    ResamplingFleet: _resampling_model,
+    PerCoreQosFleet: _percore_model,
+    ScalarFleetAdapter: lambda m, j: (
+        _bucket_model, _percore_model, _resampling_model
+    )[j % 3](m, j),
+}
+
+
+def _member_fleet(cls, m, size):
+    return cls([_MEMBER_MODELS[cls](m, j) for j in range(size)])
+
+
+def _fleet_state(fleet):
+    """Every state slot of every link, read through the model handles."""
+    return [
+        (
+            model.limit(),
+            [
+                getattr(model, name)
+                for klass in type(model).__mro__
+                for name, slot in vars(klass).items()
+                if isinstance(slot, FleetSlot)
+            ],
+        )
+        for model in fleet.models
+    ]
+
+
+def _round_strategy(n_members, n_links):
+    """One lockstep round: a dt per member and a send rate per link."""
+    return st.tuples(
+        st.lists(
+            st.one_of(st.just(0.0), st.floats(0.0, 40.0)),
+            min_size=n_members,
+            max_size=n_members,
+        ),
+        st.lists(
+            st.sampled_from([0.0, 0.5, 3.0, 12.0]),
+            min_size=n_links,
+            max_size=n_links,
+        ),
+    )
+
+
 class TestConcatFleets:
     def _bucket_fleet(self, n, seed=0):
         return build_fleet([TokenBucketModel(_BUCKET) for _ in range(n)])
@@ -198,62 +286,54 @@ class TestConcatFleets:
         fleets[1]._sync_thresholds()
         assert np.shares_memory(fleets[1]._flip_threshold, sup._flip_threshold)
 
-    def test_advance_many_matches_scalar_advance_per_cell(self):
-        fleets = [self._bucket_fleet(2), self._bucket_fleet(3)]
-        ref = [self._bucket_fleet(2), self._bucket_fleet(3)]
-        sup = concat_fleets(fleets)
-        rng = np.random.default_rng(4)
-        for _ in range(50):
-            dts = rng.uniform(0.0, 3.0, size=2)
-            sends = rng.uniform(0.0, 6.0, size=5)
-            changed = sup.advance_many(
-                np.repeat(dts, [2, 3]), sends
-            )
-            ref_changed = [
-                ref[0].advance(float(dts[0]), sends[:2]),
-                ref[1].advance(float(dts[1]), sends[2:]),
-            ]
-            if changed is None:
-                assert ref_changed == [False, False]
-            else:
-                assert [bool(changed[:2].any()), bool(changed[2:].any())] == (
-                    ref_changed
-                )
-            assert fleets[0]._budget.tolist() == ref[0]._budget.tolist()
-            assert fleets[1]._budget.tolist() == ref[1]._budget.tolist()
-            assert fleets[0]._throttled.tolist() == ref[0]._throttled.tolist()
-            assert fleets[1]._throttled.tolist() == ref[1]._throttled.tolist()
-
-    def test_resampling_fleet_concat(self):
-        from repro.netmodel.distributions import QuantileDistribution
-
-        dist = QuantileDistribution(
-            probs=(0.01, 0.5, 0.99), values=(4.0, 8.0, 10.0)
+    @pytest.mark.parametrize("cls", _MEMBER_MODELS, ids=lambda cls: cls.__name__)
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_per_link_advance_matches_member_advance(self, cls, data):
+        # Differential check of the per-link ``dt`` form: a super-fleet
+        # over 2-3 members, stepped with one ``dt`` per member, must
+        # leave every member exactly where twin fleets stepped with
+        # their own float ``dt`` end up, and report the same changed
+        # links.  A hooked standalone copy of member 0, stepped with a
+        # per-link array, must report the mask's indices to its hook.
+        sizes = data.draw(st.lists(st.integers(1, 3), min_size=2, max_size=3))
+        members = [_member_fleet(cls, m, size) for m, size in enumerate(sizes)]
+        twins = [_member_fleet(cls, m, size) for m, size in enumerate(sizes)]
+        hooked = _member_fleet(cls, 0, sizes[0])
+        events = []
+        hooked.transition_hook = lambda idx, limits: events.append(
+            (idx.tolist(), limits.tolist())
         )
-
-        def fleet(seed):
-            return build_fleet(
-                [
-                    UniformQuantileSamplingModel(
-                        dist, interval_s=7.0, seed=seed + i
-                    )
-                    for i in range(2)
+        sup = concat_fleets(members)
+        bounds = np.cumsum([0] + sizes).tolist()
+        rounds = data.draw(
+            st.lists(_round_strategy(len(sizes), sum(sizes)), max_size=12)
+        )
+        # A final long idle step checks the RNG streams stayed aligned.
+        rounds.append(([1000.0] * len(sizes), [0.0] * sum(sizes)))
+        for dts, sends in rounds:
+            sends = np.array(sends)
+            mask = sup.advance(np.repeat(dts, sizes), sends)
+            for m, twin in enumerate(twins):
+                lo, hi = bounds[m], bounds[m + 1]
+                before = twin.limits()
+                twin_mask = twin.advance(dts[m], sends[lo:hi])
+                moved = (twin.limits() != before).tolist()
+                got = [False] * (hi - lo) if mask is None else mask[lo:hi].tolist()
+                assert got == moved
+                assert moved == (
+                    [False] * (hi - lo) if twin_mask is None else twin_mask.tolist()
+                )
+                assert _fleet_state(members[m]) == _fleet_state(twin)
+            events.clear()
+            hooked_mask = hooked.advance(np.full(sizes[0], dts[0]), sends[: sizes[0]])
+            assert _fleet_state(hooked) == _fleet_state(twins[0])
+            if hooked_mask is None:
+                assert events == []
+            else:
+                assert events == [
+                    (np.flatnonzero(hooked_mask).tolist(), hooked.limits().tolist())
                 ]
-            )
-
-        fleets = [fleet(0), fleet(10)]
-        ref = [fleet(0), fleet(10)]
-        assert isinstance(fleets[0], ResamplingFleet)
-        sup = concat_fleets(fleets)
-        rng = np.random.default_rng(5)
-        sends = np.zeros(4)
-        for _ in range(30):
-            dts = rng.uniform(0.0, 9.0, size=2)
-            sup.advance_many(np.repeat(dts, [2, 2]), sends)
-            ref[0].advance(float(dts[0]), sends[:2])
-            ref[1].advance(float(dts[1]), sends[2:])
-            assert fleets[0].limits().tolist() == ref[0].limits().tolist()
-            assert fleets[1].limits().tolist() == ref[1].limits().tolist()
 
     def test_mixed_classes_rejected(self):
         bucket = self._bucket_fleet(2)
