@@ -11,6 +11,7 @@ percentiles and sampled with uniform probabilities — exactly what
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -45,6 +46,8 @@ class QuantileDistribution:
             raise ValueError("probabilities must be in (0, 1)")
         if any(b <= a for a, b in zip(self.probs, self.probs[1:])):
             raise ValueError("probabilities must be strictly increasing")
+        if not all(math.isfinite(v) for v in self.values):
+            raise ValueError(f"values must be finite, got {self.values}")
         if any(b < a for a, b in zip(self.values, self.values[1:])):
             raise ValueError("values must be non-decreasing")
 
@@ -105,8 +108,8 @@ class QuantileDistribution:
 
     def scale(self, factor: float) -> "QuantileDistribution":
         """A copy with every quantile multiplied by ``factor``."""
-        if factor <= 0:
-            raise ValueError("scale factor must be positive")
+        if not factor > 0:
+            raise ValueError(f"scale factor must be positive, got {factor}")
         return QuantileDistribution(
             probs=self.probs, values=tuple(v * factor for v in self.values)
         )

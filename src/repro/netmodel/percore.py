@@ -19,6 +19,8 @@ from a tight "warm" distribution near 1.  The ceiling is
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro.netmodel.base import FleetSlot, LinkModel
@@ -69,12 +71,21 @@ class PerCoreQosModel(LinkModel):
     ) -> None:
         if cores < 1:
             raise ValueError(f"cores must be >= 1, got {cores}")
-        if per_core_gbps <= 0:
-            raise ValueError("per-core rate must be positive")
-        if ramp_s < 0 or idle_reset_s < 0:
-            raise ValueError("ramp and idle-reset durations cannot be negative")
-        if interval_s <= 0:
-            raise ValueError("resample interval must be positive")
+        # Comparisons written to fail on NaN, which passes ``<= 0``.
+        if not 0.0 < per_core_gbps < math.inf:
+            raise ValueError(
+                f"per_core_gbps must be positive and finite, got {per_core_gbps}"
+            )
+        if not ramp_s >= 0:
+            raise ValueError(f"ramp_s cannot be negative or NaN, got {ramp_s}")
+        if not idle_reset_s >= 0:
+            raise ValueError(
+                f"idle_reset_s cannot be negative or NaN, got {idle_reset_s}"
+            )
+        if not 0.0 < interval_s < math.inf:
+            raise ValueError(
+                f"interval_s must be positive and finite, got {interval_s}"
+            )
         self.cores = int(cores)
         self.per_core_gbps = float(per_core_gbps)
         self.qos_gbps = self.cores * self.per_core_gbps

@@ -14,6 +14,13 @@ Two models live here:
   clouds have fewer tenants, so congestion episodes persist rather than
   averaging out ("less statistical multiplexing to smooth out
   variation").
+
+The AR(1) model's normal CDF is ``scipy.special.ndtr``: the ufunc that
+``scipy.stats.norm.cdf`` ends in, so the values are bit-identical, minus
+the ``rv_continuous`` argument handling that costs two orders of
+magnitude more than the ufunc per scalar call.  ``scipy.stats`` is also
+slow to import and no simulation needs it, so it must stay off this
+module's import path.
 """
 
 from __future__ import annotations
@@ -21,7 +28,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import stats as _scipy_stats
+from scipy.special import ndtr
 
 from repro.netmodel.base import FleetSlot, LinkModel
 from repro.netmodel.distributions import QuantileDistribution
@@ -46,8 +53,11 @@ class _ResamplingModel(LinkModel):
     _current = FleetSlot("_current")
 
     def __init__(self, interval_s: float, seed: int) -> None:
-        if interval_s <= 0:
-            raise ValueError(f"interval must be positive, got {interval_s}")
+        # Written to fail on NaN, which passes ``<= 0``.
+        if not 0.0 < interval_s < math.inf:
+            raise ValueError(
+                f"interval_s must be positive and finite, got {interval_s}"
+            )
         self._interval = float(interval_s)
         self._seed = seed
         self._rng = np.random.default_rng(seed)
@@ -159,15 +169,15 @@ class Ar1QuantileModel(_ResamplingModel):
             self._rng.standard_normal()
         )
         self._z = self.phi * self._z + innovation
-        u = float(_scipy_stats.norm.cdf(self._z))
+        u = float(ndtr(self._z))
         return max(float(self.distribution.quantile(u)), 1e-6)
 
     def _draw_batch(self, k: int) -> float:
         # One normal call for all k innovations (ziggurat fills arrays
         # from the same bitstream as repeated scalar calls), then the
         # cheap AR(1) recurrence in Python.  Only the surviving draw is
-        # pushed through the (scipy-costly) CDF/quantile transform —
-        # intermediate ceilings are discarded by the caller anyway.
+        # pushed through the CDF/quantile transform; intermediate
+        # ceilings are discarded by the caller anyway.
         if k <= 0:
             return self._current
         innovations = self._rng.standard_normal(size=k)
@@ -176,5 +186,5 @@ class Ar1QuantileModel(_ResamplingModel):
         for e in innovations.tolist():
             z = self.phi * z + scale * e
         self._z = z
-        u = float(_scipy_stats.norm.cdf(z))
+        u = float(ndtr(z))
         return max(float(self.distribution.quantile(u)), 1e-6)

@@ -52,18 +52,21 @@ class TokenBucketParams:
     resume_threshold_gbit: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.peak_gbps <= 0 or self.capped_gbps <= 0:
-            raise ValueError("rates must be positive")
+        # Comparisons written to fail on NaN, which passes ``<= 0``.
+        for name in ("peak_gbps", "capped_gbps", "capacity_gbit"):
+            value = getattr(self, name)
+            if not value > 0:
+                raise ValueError(f"{name} must be positive, got {value}")
         if self.capped_gbps > self.peak_gbps:
             raise ValueError("capped rate cannot exceed peak rate")
-        if self.replenish_gbps < 0:
-            raise ValueError("replenish rate cannot be negative")
-        if self.capacity_gbit <= 0:
-            raise ValueError("capacity must be positive")
-        if self.initial_budget_gbit is not None and self.initial_budget_gbit < 0:
-            raise ValueError("initial budget cannot be negative")
-        if self.resume_threshold_gbit < 0:
-            raise ValueError("resume threshold cannot be negative")
+        for name in (
+            "replenish_gbps",
+            "initial_budget_gbit",
+            "resume_threshold_gbit",
+        ):
+            value = getattr(self, name)
+            if value is not None and not value >= 0:
+                raise ValueError(f"{name} cannot be negative or NaN, got {value}")
 
     @property
     def time_to_empty_s(self) -> float:

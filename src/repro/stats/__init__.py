@@ -16,6 +16,11 @@ This package implements the statistical machinery the paper leans on:
   variation, IQR) as plotted in Figure 6;
 * :mod:`repro.stats.bootstrap` — bootstrap confidence intervals used as
   a cross-check on the order-statistics method.
+
+``scipy.stats`` is slow to import, so the modules here import it inside
+the functions that call it: it loads on the first call that needs it.  Keep it that way.  Simulations, campaign workers and the
+CLI import this package, and none of them may pay for ``scipy.stats``
+at import time (``tests/test_import_graph.py`` guards this).
 """
 
 from repro.stats.anova import compare_groups, kruskal_wallis, one_way_anova

@@ -14,7 +14,6 @@ from __future__ import annotations
 from typing import Sequence
 
 import numpy as np
-from scipy import stats as _scipy_stats
 
 from repro.stats.testing import TestVerdict, shapiro_test
 
@@ -43,7 +42,9 @@ def one_way_anova(
     :func:`compare_groups` which does it for you.
     """
     arrays = _validate_groups(groups, min_size=2)
-    stat, p = _scipy_stats.f_oneway(*arrays)
+    from scipy import stats
+
+    stat, p = stats.f_oneway(*arrays)
     return TestVerdict(
         name="one-way-anova",
         statistic=float(stat),
@@ -64,7 +65,9 @@ def kruskal_wallis(
     long-tailed samples cloud networks produce.
     """
     arrays = _validate_groups(groups, min_size=2)
-    stat, p = _scipy_stats.kruskal(*arrays)
+    from scipy import stats
+
+    stat, p = stats.kruskal(*arrays)
     return TestVerdict(
         name="kruskal-wallis",
         statistic=float(stat),

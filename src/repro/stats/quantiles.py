@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy import stats as _scipy_stats
 
 __all__ = ["QuantileCI", "quantile_ci_indices", "quantile_ci", "median_ci"]
 
@@ -88,7 +87,9 @@ def quantile_ci_indices(
         return None
 
     alpha = 1.0 - confidence
-    dist = _scipy_stats.binom(n, quantile)
+    from scipy import stats
+
+    dist = stats.binom(n, quantile)
 
     # Largest j in [1, n] with P(B <= j - 1) <= alpha / 2.
     j = int(dist.ppf(alpha / 2.0))

@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy import stats as _scipy_stats
 
 __all__ = [
     "TestVerdict",
@@ -71,7 +70,9 @@ def shapiro_test(
 ) -> TestVerdict:
     """Shapiro-Wilk test; H0: the sample is normally distributed."""
     arr = _as_array(samples, 3, "shapiro_test")
-    stat, p = _scipy_stats.shapiro(arr)
+    from scipy import stats
+
+    stat, p = stats.shapiro(arr)
     return TestVerdict(
         name="shapiro-wilk",
         statistic=float(stat),
@@ -95,7 +96,9 @@ def mann_whitney_test(
     """
     a = _as_array(sample_a, 1, "mann_whitney_test")
     b = _as_array(sample_b, 1, "mann_whitney_test")
-    stat, p = _scipy_stats.mannwhitneyu(a, b, alternative="two-sided")
+    from scipy import stats
+
+    stat, p = stats.mannwhitneyu(a, b, alternative="two-sided")
     return TestVerdict(
         name="mann-whitney-u",
         statistic=float(stat),
@@ -130,7 +133,9 @@ def runs_test(
         2.0 * n_pos * n_neg * (2.0 * n_pos * n_neg - n) / (n**2 * (n - 1.0))
     )
     z = (runs - mean_runs) / np.sqrt(var_runs)
-    p = 2.0 * float(_scipy_stats.norm.sf(abs(z)))
+    from scipy import stats
+
+    p = 2.0 * float(stats.norm.sf(abs(z)))
     return TestVerdict(
         name="wald-wolfowitz-runs",
         statistic=float(z),
@@ -166,7 +171,9 @@ def ljung_box_test(
     acf = _autocorrelation(arr, lags)
     k = np.arange(1, lags + 1)
     q = n * (n + 2.0) * float(np.sum(acf**2 / (n - k)))
-    p = float(_scipy_stats.chi2.sf(q, df=lags))
+    from scipy import stats
+
+    p = float(stats.chi2.sf(q, df=lags))
     return TestVerdict(
         name="ljung-box",
         statistic=q,
@@ -196,9 +203,11 @@ def pettitt_test(
     """
     arr = _as_array(samples, 8, "pettitt_test")
     n = arr.size
+    from scipy import stats
+
     # U_t via ranks: U_t = 2 * sum_{i<=t} r_i - t * (n + 1), where r_i
     # are the ranks of the full sample (mid-ranks for ties).
-    ranks = _scipy_stats.rankdata(arr)
+    ranks = stats.rankdata(arr)
     cumulative = np.cumsum(ranks)
     t = np.arange(1, n)  # split after index t-1
     u = 2.0 * cumulative[:-1] - t * (n + 1.0)

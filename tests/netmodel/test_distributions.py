@@ -1,5 +1,7 @@
 """Tests for quantile-parameterized distributions."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -43,6 +45,20 @@ class TestConstruction:
             QuantileDistribution(probs=(0.0, 0.5), values=(1.0, 2.0))
         with pytest.raises(ValueError):
             QuantileDistribution(probs=(0.4,), values=(1.0, 2.0))
+
+    @pytest.mark.parametrize(
+        "probs, values, name",
+        [
+            ((0.25, 0.75), (math.nan, 1.0), "values"),
+            ((0.25, 0.75), (1.0, math.nan), "values"),
+            ((0.25, 0.75), (1.0, math.inf), "values"),
+            ((0.25, 0.75), (-math.inf, 1.0), "values"),
+            ((math.nan, 0.75), (1.0, 2.0), "probabilities"),
+        ],
+    )
+    def test_non_finite_params_rejected_by_name(self, probs, values, name):
+        with pytest.raises(ValueError, match=name):
+            QuantileDistribution(probs=probs, values=values)
 
 
 class TestQuantiles:
@@ -98,6 +114,8 @@ class TestTransforms:
         assert doubled.median == 10.0
         with pytest.raises(ValueError):
             dist.scale(0.0)
+        with pytest.raises(ValueError, match="scale factor"):
+            dist.scale(math.nan)
 
     @given(factor=st.floats(min_value=0.1, max_value=10.0))
     @settings(max_examples=30, deadline=None)

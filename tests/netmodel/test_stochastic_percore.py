@@ -1,7 +1,14 @@
 """Tests for the stochastic (HPCCloud) and per-core-QoS (GCE) models."""
 
+import math
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
+from scipy.special import ndtr
+from scipy.stats import norm
 
 from repro.netmodel import (
     Ar1QuantileModel,
@@ -14,6 +21,35 @@ DIST = QuantileDistribution(
     probs=(0.01, 0.25, 0.50, 0.75, 0.99),
     values=(7.7, 8.9, 9.4, 9.8, 10.4),
 )
+
+
+#: ``Ar1QuantileModel(DIST, seed=7)``: the ceiling after construction,
+#: then 63 redraws, as computed with ``scipy.stats.norm.cdf`` as the
+#: CDF.  ``scipy.special.ndtr`` must reproduce them bit for bit.
+AR1_SEED7_CEILINGS = [
+    9.535692172915637, 9.363447404440997, 8.904076570930775,
+    8.720373463285728, 8.166624818095578, 8.65082702873059,
+    9.629930298000676, 9.325397396591397, 9.010994970816983,
+    9.395020908556472, 9.558239447526978, 9.558320374052029,
+    9.024809481922166, 9.116439179970651, 9.553155951241173,
+    8.723297047289163, 8.597075811688091, 7.771016322209368,
+    7.7032588053570885, 7.7, 7.716587262532917,
+    7.7, 7.967449774764004, 8.497249278475632,
+    8.705031526111638, 7.7, 7.754308196285198,
+    8.010707727748114, 8.51663534012497, 7.849647490375449,
+    7.94264800604971, 7.831288542038225, 7.816363021523037,
+    8.99841569833216, 8.51117345185239, 8.883383451240933,
+    9.496707988221225, 9.156325044174263, 9.166475429058716,
+    9.297353973978588, 9.36430342817746, 8.562084774125177,
+    8.9619417058364, 9.742026499628684, 8.844590887461628,
+    9.474430325492284, 9.506132719686995, 9.132975975631807,
+    10.13232629358636, 10.214435995054595, 9.468533510110234,
+    9.48180842817703, 9.707353978619905, 9.53708621305642,
+    9.781848739490005, 9.648640124286594, 9.863289854240804,
+    10.275614057847939, 9.765061450485845, 9.745143276738348,
+    9.443525881418351, 9.488223375267253, 8.781983428418908,
+    8.519018285736411,
+]
 
 
 def collect_limits(model, n, dt):
@@ -87,6 +123,35 @@ class TestAr1Model:
         model = Ar1QuantileModel(DIST, interval_s=10.0, phi=0.5, seed=4)
         values = collect_limits(model, 5_000, 10.0)
         assert np.median(values) == pytest.approx(9.4, abs=0.2)
+
+    def test_redraw_ceilings_pinned(self):
+        model = Ar1QuantileModel(DIST, seed=7)
+        ceilings = [model.limit()] + [model._draw() for _ in range(63)]
+        assert ceilings == AR1_SEED7_CEILINGS
+
+    @pytest.mark.parametrize("k", [1, 3, 8])
+    def test_batched_redraw_ceilings_pinned(self, k):
+        model = Ar1QuantileModel(DIST, seed=7)
+        ceilings = [model._draw_batch(k) for _ in range(63 // k)]
+        assert ceilings == AR1_SEED7_CEILINGS[k::k]
+
+    @given(
+        z=st.floats(min_value=-40.0, max_value=40.0)
+        | st.sampled_from([math.inf, -math.inf])
+    )
+    @example(z=0.0)
+    @example(z=-0.0)
+    @example(z=5e-324)
+    @example(z=-5e-324)
+    @example(z=2.2e-308)
+    @example(z=40.0)
+    @example(z=-40.0)
+    @example(z=math.inf)
+    @example(z=-math.inf)
+    def test_ndtr_is_bit_equal_to_norm_cdf(self, z):
+        assert struct.pack("<d", float(ndtr(z))) == struct.pack(
+            "<d", float(norm.cdf(z))
+        )
 
 
 class TestPerCoreQos:
@@ -190,3 +255,30 @@ class TestPerCoreQos:
             PerCoreQosModel(cores=1, per_core_gbps=-1.0)
         with pytest.raises(ValueError):
             PerCoreQosModel(cores=1, interval_s=0.0)
+
+
+_MODELS = {
+    "uniform": lambda **kw: UniformQuantileSamplingModel(DIST, **kw),
+    "ar1": lambda **kw: Ar1QuantileModel(DIST, **kw),
+    "percore": lambda **kw: PerCoreQosModel(cores=1, **kw),
+}
+
+
+@pytest.mark.parametrize(
+    "model, name, value",
+    [
+        ("uniform", "interval_s", math.nan),
+        ("uniform", "interval_s", math.inf),
+        ("ar1", "interval_s", math.nan),
+        ("ar1", "interval_s", math.inf),
+        ("percore", "interval_s", math.nan),
+        ("percore", "interval_s", math.inf),
+        ("percore", "per_core_gbps", math.nan),
+        ("percore", "per_core_gbps", math.inf),
+        ("percore", "ramp_s", math.nan),
+        ("percore", "idle_reset_s", math.nan),
+    ],
+)
+def test_non_finite_params_rejected_by_name(model, name, value):
+    with pytest.raises(ValueError, match=name):
+        _MODELS[model](**{name: value})

@@ -46,6 +46,21 @@ class TestParams:
         with pytest.raises(ValueError):
             c5_xlarge_params(replenish_gbps=-0.5)
 
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "peak_gbps",
+            "capped_gbps",
+            "replenish_gbps",
+            "capacity_gbit",
+            "initial_budget_gbit",
+            "resume_threshold_gbit",
+        ],
+    )
+    def test_non_finite_params_rejected_by_name(self, name):
+        with pytest.raises(ValueError, match=name):
+            c5_xlarge_params(**{name: math.nan})
+
 
 class TestModel:
     def test_fresh_bucket_starts_at_peak(self):
