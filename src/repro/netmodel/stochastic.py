@@ -15,12 +15,12 @@ Two models live here:
   averaging out ("less statistical multiplexing to smooth out
   variation").
 
-The AR(1) model's normal CDF is ``scipy.special.ndtr``: the ufunc that
-``scipy.stats.norm.cdf`` ends in, so the values are bit-identical, minus
-the ``rv_continuous`` argument handling that costs two orders of
-magnitude more than the ufunc per scalar call.  ``scipy.stats`` is also
-slow to import and no simulation needs it, so it must stay off this
-module's import path.
+The AR(1) model's normal CDF is :func:`repro.netmodel._ndtr.ndtr`, a
+pure-Python port of the cephes ``ndtr`` that ``scipy.special.ndtr`` and
+``scipy.stats.norm.cdf`` end in, so the values are bit-identical.  No
+simulation imports scipy: ``scipy.special`` alone costs every fresh
+process (a campaign shard, a subprocess cell, a CLI call) about a
+quarter of a second, and ``scipy.stats`` far more.
 """
 
 from __future__ import annotations
@@ -28,8 +28,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import ndtr
 
+from repro.netmodel._ndtr import ndtr
 from repro.netmodel.base import FleetSlot, LinkModel
 from repro.netmodel.distributions import QuantileDistribution
 
@@ -169,7 +169,7 @@ class Ar1QuantileModel(_ResamplingModel):
             self._rng.standard_normal()
         )
         self._z = self.phi * self._z + innovation
-        u = float(ndtr(self._z))
+        u = ndtr(self._z)
         return max(float(self.distribution.quantile(u)), 1e-6)
 
     def _draw_batch(self, k: int) -> float:
@@ -186,5 +186,5 @@ class Ar1QuantileModel(_ResamplingModel):
         for e in innovations.tolist():
             z = self.phi * z + scale * e
         self._z = z
-        u = float(ndtr(z))
+        u = ndtr(z)
         return max(float(self.distribution.quantile(u)), 1e-6)

@@ -328,9 +328,8 @@ class ServingState(EventCore):
 
     def deadlock_error(self) -> RuntimeError:
         return RuntimeError(
-            f"serving deadlock at t={self.now}: {self._in_flight} request(s) "
-            f"in flight, {self._live_users} user(s) live, no flows, no "
-            "timers, no arrivals"
+            f"{super().deadlock_error()}; {self._in_flight} "
+            f"request(s) in flight, {self._live_users} user(s) live"
         )
 
     def _build_result(self) -> ServingResult:

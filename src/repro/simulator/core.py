@@ -287,18 +287,31 @@ class EventCore:
             self._sched_dirty = False
             self._try_launch()
 
+    def _state_dump(self) -> str:
+        """Time, steps taken, live flows and the next timer."""
+        next_timer = self.timer_heap[0][0] if self.timer_heap else math.inf
+        return (
+            f"t={self.now} after {self._n_steps} steps: {self.fabric._n} "
+            f"live flows, next timer at t={next_timer}"
+        )
+
     def deadlock_error(self) -> RuntimeError:
+        """The error ``execute`` and ``run_cores`` raise when no event is due.
+
+        Workloads override it to append their queued work.
+        """
+        fabric = self.fabric
+        stalled = int(np.count_nonzero(fabric._rate[: fabric._n] == 0.0))
         return RuntimeError(
-            f"deadlock at t={self.now}: no flows, no timers, no arrivals"
+            f"deadlock at {self._state_dump()}, {stalled} flows at zero "
+            "rate; no flow, timer or arrival can make progress"
         )
 
     def step_budget_error(self) -> RuntimeError:
         """The error both drivers raise when ``max_steps`` runs out."""
-        next_timer = self.timer_heap[0][0] if self.timer_heap else math.inf
         return RuntimeError(
-            f"step budget exhausted at t={self.now} after {self._n_steps} "
-            f"steps: {self.fabric._n} live flows, next timer at "
-            f"t={next_timer}; stream did not converge"
+            f"step budget exhausted at {self._state_dump()}; stream did "
+            "not converge"
         )
 
     def finish(self):

@@ -974,8 +974,8 @@ class _StreamState(EventCore):
 
     def deadlock_error(self) -> RuntimeError:
         return RuntimeError(
-            f"deadlock at t={self.now}: no flows, no computes, "
-            f"no arrivals, jobs done={self.finished}"
+            f"{super().deadlock_error()}; jobs done "
+            f"{self._n_finished}/{len(self.jobs)}"
         )
 
     # -- result assembly ---------------------------------------------------

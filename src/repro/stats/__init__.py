@@ -18,9 +18,12 @@ This package implements the statistical machinery the paper leans on:
   a cross-check on the order-statistics method.
 
 ``scipy.stats`` is slow to import, so the modules here import it inside
-the functions that call it: it loads on the first call that needs it.  Keep it that way.  Simulations, campaign workers and the
-CLI import this package, and none of them may pay for ``scipy.stats``
-at import time (``tests/test_import_graph.py`` guards this).
+the functions that call it: it loads on the first call that needs it.
+Keep it that way.  Simulations, campaign workers and the CLI import
+this package, and no simulation process may load any scipy module
+(the AR(1) shaper's normal CDF is the pure-Python port in
+:mod:`repro.netmodel._ndtr`); ``tests/test_import_graph.py`` guards
+both.
 """
 
 from repro.stats.anova import compare_groups, kruskal_wallis, one_way_anova

@@ -12,11 +12,13 @@ suites pin the *values* against pre-refactor fixtures; the bench
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
 
-from repro.netmodel import ConstantRateModel, TokenBucketModel
+from repro.netmodel import ConstantRateModel, LinkModel, TokenBucketModel
+from repro.netmodel.fleet import ScalarFleetAdapter
 from repro.scenarios.generate import job_stream, poisson_arrivals
 from repro.serving.arrivals import poisson_process
 from repro.serving.state import ServingState
@@ -28,12 +30,17 @@ from repro.simulator.multistream import run_cores
 from tests.simulator.test_golden_trace import _BUCKET, _snapshot
 
 
-def stream_state(seed=20260727, n_jobs=4, scheduler="fair"):
+def stream_state(
+    seed=20260727,
+    n_jobs=4,
+    scheduler="fair",
+    link_model_factory=lambda node: TokenBucketModel(_BUCKET),
+):
     rng = np.random.default_rng(seed)
     cluster = Cluster(
         n_nodes=5,
         node_spec=NodeSpec(slots=4),
-        link_model_factory=lambda node: TokenBucketModel(_BUCKET),
+        link_model_factory=link_model_factory,
     )
     times = poisson_arrivals(rng, rate_per_min=3.0, n_jobs=n_jobs)
     stream = job_stream(rng, times, n_nodes=5, slots=4, data_scale=0.15)
@@ -43,11 +50,13 @@ def stream_state(seed=20260727, n_jobs=4, scheduler="fair"):
     )
 
 
-def serving_state(seed=3):
+def serving_state(
+    seed=3, link_model_factory=lambda node: ConstantRateModel(10.0)
+):
     cluster = Cluster(
         n_nodes=4,
         node_spec=NodeSpec(),
-        link_model_factory=lambda node: ConstantRateModel(10.0),
+        link_model_factory=link_model_factory,
     )
     engine = SparkEngine(cluster, rng=np.random.default_rng(seed))
     return ServingState(
@@ -233,3 +242,69 @@ class TestStepBudget:
         with pytest.raises(RuntimeError, match=self._MESSAGE) as info:
             run_cores(states)
         assert str(info.value) == str(states[1].step_budget_error())
+
+
+class ZeroLimitModel(LinkModel):
+    """A link that never sends: every flow on it stalls at rate 0."""
+
+    def limit(self):
+        return 0.0
+
+    def horizon(self, send_rate_gbps):
+        return math.inf
+
+    def advance(self, dt, send_rate_gbps):
+        pass
+
+    def reset(self):
+        pass
+
+
+def zero_limit(node):
+    return ZeroLimitModel()
+
+
+class TestDeadlock:
+    """``execute`` and ``run_cores`` raise a ``deadlock_error`` with state."""
+
+    _MESSAGE = (
+        r"deadlock at t=\S+ after \d+ steps: (\d+) live flows, next timer "
+        r"at t=inf, (\d+) flows at zero rate; no flow, timer or arrival "
+        r"can make progress; "
+    )
+
+    def assert_stalled(self, message, state, queued):
+        match = re.match(self._MESSAGE + queued, message)
+        assert match, message
+        live, stalled = map(int, match.groups())
+        assert live == stalled == state.fabric._n > 0
+        assert message == str(state.deadlock_error())
+
+    def test_zero_limit_links_use_the_scalar_adapter(self):
+        state = stream_state(link_model_factory=zero_limit)
+        assert type(state.fabric.fleet) is ScalarFleetAdapter
+
+    def test_execute_names_the_stalled_stream(self):
+        state = stream_state(link_model_factory=zero_limit)
+        with pytest.raises(RuntimeError) as info:
+            state.execute()
+        self.assert_stalled(str(info.value), state, r"jobs done 0/4$")
+
+    def test_run_cores_names_the_stalled_stream(self):
+        states = [
+            stream_state(seed=s, link_model_factory=zero_limit)
+            for s in (401, 402)
+        ]
+        with pytest.raises(RuntimeError) as info:
+            run_cores(states)
+        self.assert_stalled(str(info.value), states[0], r"jobs done 0/4$")
+
+    def test_execute_names_the_stalled_serving_state(self):
+        state = serving_state(link_model_factory=zero_limit)
+        with pytest.raises(RuntimeError) as info:
+            state.execute()
+        self.assert_stalled(
+            str(info.value),
+            state,
+            r"[1-9]\d* request\(s\) in flight, 0 user\(s\) live$",
+        )

@@ -1,11 +1,13 @@
-"""Import-graph guard: simulations never load ``scipy.stats``.
+"""Import-graph guard: simulations never load scipy.
 
-``scipy.stats`` is slow to import, and every fresh process (a campaign
-worker shard, a subprocess cell, a CLI call) would pay for it.
-No simulation needs it: the AR(1) shaper's normal CDF is
-``scipy.special.ndtr``, and :mod:`repro.stats` imports ``scipy.stats``
-inside the functions that call it.  Each check runs in a cold
-interpreter so modules loaded by other tests cannot mask a regression.
+Importing scipy is slow (``scipy.special`` alone is about a quarter of
+a second, and it drags in ``numpy.f2py``), and every fresh process (a
+campaign worker shard, a subprocess cell, a CLI call) would pay for it.
+No simulation needs it: the AR(1) shaper's normal CDF is the
+pure-Python cephes port in :mod:`repro.netmodel._ndtr`, and
+:mod:`repro.stats` imports ``scipy.stats`` inside the functions that
+call it.  Each check runs in a cold interpreter so modules loaded by
+other tests cannot mask a regression.
 """
 
 import os
@@ -33,22 +35,27 @@ def run_cold(code: str) -> str:
     return proc.stdout
 
 
-def test_simulation_paths_never_load_scipy_stats():
+def test_simulation_paths_never_load_scipy():
     out = run_cold(
         """
         import sys
+
+        def heavy():
+            return sorted(
+                m for m in sys.modules if m.startswith(("scipy", "numpy.f2py"))
+            )
 
         import repro.runtime.worker
         import repro.scenarios
         import repro.serving
         import repro.simulator.engine
 
-        assert "scipy.stats" not in sys.modules, "loaded on import"
+        assert heavy() == [], f"loaded on import: {heavy()}"
 
         from repro.scenarios import DEFAULT_INSTANCES, ScenarioConfig, run_scenario
         from repro.serving import ServingConfig, run_serving
 
-        for provider in ("google", "hpccloud"):
+        for provider in ("amazon", "google", "hpccloud"):
             config = ScenarioConfig(
                 provider_name=provider,
                 instance_name=DEFAULT_INSTANCES[provider],
@@ -67,7 +74,8 @@ def test_simulation_paths_never_load_scipy_stats():
             seed=1,
         )
         assert run_serving(serving).n_completed > 0
-        print(sorted(m for m in sys.modules if m.startswith("scipy.stats")))
+        assert "scipy.stats" not in sys.modules
+        print(heavy())
         """
     )
     assert out.strip() == "[]"
