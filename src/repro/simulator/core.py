@@ -314,6 +314,18 @@ class EventCore:
             "not converge"
         )
 
+    def nan_step_error(self, horizon: float, events_in: float) -> RuntimeError:
+        """The error both drivers raise when the step length is NaN.
+
+        A NaN horizon (from a shaper model, say) would otherwise reach
+        the fabric's ``dt`` check in ``execute`` and be clamped to a
+        zero step, forever, in ``run_cores``.
+        """
+        return RuntimeError(
+            f"NaN step at {self._state_dump()}: fabric horizon {horizon}, "
+            f"events_in {events_in}"
+        )
+
     def finish(self):
         """Final sample, observability teardown, result assembly."""
         self.fabric.compute_rates()
@@ -331,9 +343,12 @@ class EventCore:
             if self.all_done:
                 break
             events_in = self.step_prologue()
-            dt = min(fabric.horizon(), events_in)
+            horizon = fabric.horizon()
+            dt = min(horizon, events_in)
             if math.isinf(dt):
                 raise self.deadlock_error()
+            if math.isnan(dt):
+                raise self.nan_step_error(horizon, events_in)
             dt = max(dt, 0.0)
             if obs is not None:
                 # Shaper transitions fire from inside advance(); stamp

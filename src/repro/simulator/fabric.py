@@ -197,6 +197,10 @@ class Fabric:
         #: water-filling topology of :meth:`_compute_rates_lists`.
         self._out_flows: list[list[Flow]] = [[] for _ in range(self.n_nodes)]
         self._in_flows: list[list[Flow]] = [[] for _ in range(self.n_nodes)]
+        #: Members of resource ``node`` (egress) and ``n_nodes + node``
+        #: (ingress).  It holds the lists above, which are only ever
+        #: mutated in place, so it is built once.
+        self._res_flows = self._out_flows + self._in_flows
         #: Optional external buffer for the egress cache (a view into
         #: the multistream runner's shared staging array); ``None``
         #: means refills allocate their own array.
@@ -277,11 +281,14 @@ class Fabric:
     def _compact(self, removed: list[int]) -> None:
         """Drop the flows at ascending indices ``removed``, keeping order.
 
+        The survivors between two removed indices (and after the last
+        one) form a run; each run closes the gap in front of it with one
+        slice move per state array (``arr[w:w+run] = arr[start+1:stop]``,
+        which numpy copies correctly although the ranges overlap).  A
+        single removal is four slice moves however many flows trail it.
         Only the survivors behind the first removed index move down, so
         only they are re-indexed.
         """
-        n = self._n
-        lo = removed[0]
         handles = self._handles
         for i in reversed(removed):
             handle = handles[i]
@@ -293,14 +300,23 @@ class Fabric:
             self._out_flows[handle.src].remove(handle)
             self._in_flows[handle.dst].remove(handle)
             del handles[i]
-        k = n - len(removed)
-        keep = np.ones(n - lo, dtype=bool)
-        keep[[i - lo for i in removed]] = False
-        for arr in (self._src, self._dst, self._remaining, self._rate):
-            arr[lo:k] = arr[lo:n][keep]
-        for index in range(lo, k):
+        src = self._src
+        dst = self._dst
+        remaining = self._remaining
+        rate = self._rate
+        lo = write = removed[0]
+        for start, stop in zip(removed, removed[1:] + [self._n]):
+            start += 1
+            if start < stop:
+                end = write + stop - start
+                src[write:end] = src[start:stop]
+                dst[write:end] = dst[start:stop]
+                remaining[write:end] = remaining[start:stop]
+                rate[write:end] = rate[start:stop]
+                write = end
+        for index in range(lo, write):
             handles[index]._index = index
-        self._n = k
+        self._n = write
 
     # ------------------------------------------------------------------
     # water-filling
@@ -354,7 +370,7 @@ class Fabric:
         (decremented as flows freeze).
         """
         n_nodes = self.n_nodes
-        res_flows = self._out_flows + self._in_flows
+        res_flows = self._res_flows
         keyed = [
             (2 * members[0].flow_id, node)
             for node, members in enumerate(self._out_flows)
@@ -376,7 +392,7 @@ class Fabric:
         ]
         keyed.sort()
         order = [rid for _, rid in keyed]
-        res_cnt = [len(members) for members in res_flows]
+        res_cnt = list(map(len, res_flows))
         rates = [0.0] * n
         fixed = [False] * n
         n_unfixed = n

@@ -166,12 +166,12 @@ def run_cores(states: "Sequence[EventCore]") -> list:
         shaper_all = super_fleet.horizons(all_egress).tolist()
         for ci in active:
             state = states[ci]
-            dt = min(
-                state.fabric.horizon(shaper_all[lo[ci] : hi[ci]]),
-                events_in[ci],
-            )
+            horizon = state.fabric.horizon(shaper_all[lo[ci] : hi[ci]])
+            dt = min(horizon, events_in[ci])
             if math.isinf(dt):
                 raise state.deadlock_error()
+            if math.isnan(dt):
+                raise state.nan_step_error(horizon, events_in[ci])
             dt_cells[ci] = dt if dt > 0.0 else 0.0
         dt_buf[:] = dt_cells
         np.take(dt_buf, cell_of_link, out=dt_links)

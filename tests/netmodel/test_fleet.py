@@ -32,6 +32,7 @@ from repro.netmodel.fleet import (
     ResamplingFleet,
     ScalarFleetAdapter,
     TokenBucketFleet,
+    _CONCAT_SHARED,
     build_fleet,
 )
 
@@ -464,6 +465,32 @@ class TestBuildFleet:
                     model.advance(bad, 1.0)
                 with pytest.raises(ValueError):
                     model.rest(bad)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: _tb_pair()[0],
+        lambda: ConstantRateFleet([ConstantRateModel(r) for r in (1.0, 5.0, 9.0)]),
+        lambda: _resampling_pair()[0],
+        lambda: _percore_pair()[0],
+    ],
+    ids=["token_bucket", "constant_rate", "resampling", "percore"],
+)
+def test_concat_shares_every_per_link_array(make):
+    # A per-link array left out of _CONCAT_SHARED (and not scratch)
+    # would stay private to a member fleet after concat_fleets, so the
+    # super-fleet would step a stale copy of it.
+    fleet = make()
+    cls = type(fleet)
+    scratch = object.__new__(cls)
+    scratch._alloc_scratch(fleet.n)
+    per_link = {
+        name
+        for name, value in vars(fleet).items()
+        if isinstance(value, np.ndarray) and value.shape[:1] == (fleet.n,)
+    }
+    assert per_link - set(vars(scratch)) == set(_CONCAT_SHARED[cls])
 
 
 class TestAdapterIdentity:

@@ -308,3 +308,55 @@ class TestDeadlock:
             state,
             r"[1-9]\d* request\(s\) in flight, 0 user\(s\) live$",
         )
+
+
+class NaNHorizonModel(ZeroLimitModel):
+    """A sending link whose horizon is NaN: every step length is NaN."""
+
+    def limit(self):
+        return 10.0
+
+    def horizon(self, send_rate_gbps):
+        return math.nan
+
+
+def nan_horizon(node):
+    return NaNHorizonModel()
+
+
+class TestNaNStep:
+    """Both drivers raise ``nan_step_error`` instead of spinning on NaN.
+
+    The small step budget turns a driver that clamps NaN to a zero step
+    into a step-budget failure rather than a hang.
+    """
+
+    _MESSAGE = (
+        r"NaN step at t=\S+ after \d+ steps: \d+ live flows, next timer at "
+        r"t=\S+: fabric horizon nan, events_in (\S+)$"
+    )
+
+    def assert_nan_step(self, message, state):
+        match = re.match(self._MESSAGE, message)
+        assert match, message
+        events_in = float(match.group(1))
+        assert message == str(state.nan_step_error(math.nan, events_in))
+
+    def test_execute_names_the_nan_step(self):
+        state = stream_state(link_model_factory=nan_horizon)
+        assert type(state.fabric.fleet) is ScalarFleetAdapter
+        state.max_steps = 50
+        with pytest.raises(RuntimeError) as info:
+            state.execute()
+        self.assert_nan_step(str(info.value), state)
+
+    def test_run_cores_names_the_nan_step(self):
+        states = [
+            stream_state(seed=s, link_model_factory=nan_horizon)
+            for s in (401, 402)
+        ]
+        for state in states:
+            state.max_steps = 50
+        with pytest.raises(RuntimeError) as info:
+            run_cores(states)
+        self.assert_nan_step(str(info.value), states[0])

@@ -50,6 +50,26 @@ def _assert_node_lists(fab):
         ]
 
 
+def _flow_rows(fab):
+    n = fab._n
+    return list(
+        zip(
+            fab._src[:n].tolist(),
+            fab._dst[:n].tolist(),
+            fab._remaining[:n].tolist(),
+            fab._rate[:n].tolist(),
+        )
+    )
+
+
+def _assert_compacted(fab, handles, before, dropped):
+    # ``handles`` held rows ``before`` in order; after dropping the
+    # positions in ``dropped`` the survivors sit at 0, 1, ... unchanged.
+    kept = [k for k in range(len(before)) if k not in dropped]
+    assert _flow_rows(fab) == [before[k] for k in kept]
+    assert [handles[k]._index for k in kept] == list(range(fab._n))
+
+
 class TestWaterfillKernel:
     @given(
         seed=st.integers(min_value=0, max_value=10_000),
@@ -105,12 +125,22 @@ class TestWaterfillKernel:
         doomed = [0] + [i for i in range(1, n_before) if rng.random() < 0.5]
         rng.shuffle(doomed)
         removed, completing = doomed[::2], doomed[1::2]
+        before = _flow_rows(fab)
         for i in removed:
             fab.remove_flow(handles[i])
+        _assert_compacted(fab, handles, before, set(removed))
         _assert_node_lists(fab)
         for i in completing:
             handles[i].remaining_gbit = 0.0
+        # advance() would refresh the rates first anyway; refreshing
+        # them here lets the rows be recorded just before compaction.
+        fab.compute_rates()
+        live = [h for h in handles if h._index >= 0]
+        before = _flow_rows(fab)
         assert len(fab.advance(0.0)) == len(completing)
+        _assert_compacted(
+            fab, live, before, {live.index(handles[i]) for i in completing}
+        )
         for f in flows[n_before:]:
             fab.add_flow(*f)
         fab.compute_rates()
