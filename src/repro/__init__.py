@@ -34,7 +34,7 @@ Uta et al., packaged as a reusable library:
   predecessor whose persisted shaper state seeds its run
   (back-to-back tenants, the Figure 19 carry-over at campaign scale);
 * :mod:`repro.runtime` — the unified campaign execution layer beneath
-  scenarios, measurement matrices, figure sweeps, and the bench
+  scenario and serving sweeps, figure sweeps, and the bench
   suite: content-hashed :class:`~repro.runtime.cell.Cell` units
   (optionally chained via ``after``), a crash-safe content-addressed
   :class:`~repro.runtime.store.ArtifactStore` with an integrity audit

@@ -466,21 +466,58 @@ def _emit_shard_plan(campaign, n_cells: int, args, store, label: str) -> None:
     print(f"  python -m repro merge {stores} --store {merged}")
 
 
-def _cmd_scenario_serving(args: argparse.Namespace) -> int:
-    """The ``--workload serving`` leg of the scenario subcommand."""
+def _run_sweep(
+    campaign_cls, build_matrix: Callable[[], list], args, label: str, row_key=None
+) -> int:
+    """Build a sweep's matrix, then shard-plan or run it and print its rows.
+
+    Rows print in matrix order keyed by ``row_key(config)``, or sorted
+    by cell id without one.
+    """
     from repro.measurement.repository import (
         RepositoryCorruptionError,
         TraceRepository,
     )
+
+    try:
+        configs = build_matrix()
+    except (ValueError, KeyError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    store = args.store or args.repo
+    try:
+        repository = TraceRepository(store) if store else None
+        campaign = campaign_cls(
+            configs, repository=repository, workers=args.workers
+        )
+        if args.shards is not None:
+            _emit_shard_plan(campaign, len(configs), args, store, label)
+            return 0
+        outcome = campaign.run()
+    except (ValueError, RepositoryCorruptionError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    print(f"== {label}: {len(configs)} cells ==")
+    keys = None if row_key is None else [row_key(c) for c in configs]
+    _print_rows(outcome.aggregate_rows(keys))
+    print(
+        f"  computed={len(outcome.computed_ids)} "
+        f"cached={len(outcome.cached_ids)} workers={args.workers}"
+    )
+    return 0
+
+
+def _cmd_scenario_serving(args: argparse.Namespace) -> int:
+    """The ``--workload serving`` leg of the scenario subcommand."""
     from repro.serving import ServingCampaign, serving_matrix
 
     if args.fast:
         n_nodes, duration_s, window_s = 4, 30.0, 10.0
     else:
         n_nodes, duration_s, window_s = 8, 120.0, 30.0
-    store = args.store or args.repo
-    try:
-        configs = serving_matrix(
+    return _run_sweep(
+        ServingCampaign,
+        lambda: serving_matrix(
             providers=tuple(args.providers.split(",")),
             arrivals=tuple(args.arrivals.split(",")),
             rates_rps=tuple(float(r) for r in args.rates.split(",")),
@@ -491,39 +528,14 @@ def _cmd_scenario_serving(args: argparse.Namespace) -> int:
             slo_window_s=window_s,
             seed=args.seed,
             chain_length=args.chain,
-        )
-    except (ValueError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        repository = TraceRepository(store) if store else None
-        campaign = ServingCampaign(
-            configs, repository=repository, workers=args.workers
-        )
-        if args.shards is not None:
-            _emit_shard_plan(
-                campaign, len(configs), args, store, "serving sweep"
-            )
-            return 0
-        results = campaign.run()
-    except (ValueError, RepositoryCorruptionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    print(f"== serving sweep: {len(configs)} cells ==")
-    _print_rows([results[c.serving_id].aggregate_row() for c in configs])
-    cached = sum(1 for r in results.values() if r.cached)
-    print(
-        f"  computed={len(results) - cached} cached={cached} "
-        f"workers={args.workers}"
+        ),
+        args,
+        "serving sweep",
+        row_key=lambda config: config.serving_id,
     )
-    return 0
 
 
 def _cmd_scenario(args: argparse.Namespace) -> int:
-    from repro.measurement.repository import (
-        RepositoryCorruptionError,
-        TraceRepository,
-    )
     from repro.scenarios import ScenarioCampaign, scenario_matrix
 
     workloads = tuple(args.workloads.split(","))
@@ -541,9 +553,9 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
         n_jobs, n_nodes, data_scale = 3, 4, 0.05
     else:
         n_jobs, n_nodes, data_scale = 8, 12, 1.0
-    store = args.store or args.repo
-    try:
-        configs = scenario_matrix(
+    return _run_sweep(
+        ScenarioCampaign,
+        lambda: scenario_matrix(
             providers=tuple(args.providers.split(",")),
             arrival_rates=tuple(float(r) for r in args.arrival_rates.split(",")),
             schedulers=tuple(args.schedulers.split(",")),
@@ -554,31 +566,10 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
             seed=args.seed,
             deadline_slack=args.deadline_slack,
             chain_length=args.chain,
-        )
-    except (ValueError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        repository = TraceRepository(store) if store else None
-        campaign = ScenarioCampaign(
-            configs, repository=repository, workers=args.workers
-        )
-        if args.shards is not None:
-            _emit_shard_plan(
-                campaign, len(configs), args, store, "scenario sweep"
-            )
-            return 0
-        outcome = campaign.run()
-    except (ValueError, RepositoryCorruptionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    print(f"== scenario sweep: {len(configs)} cells ==")
-    _print_rows(outcome.aggregate_rows())
-    print(
-        f"  computed={len(outcome.computed_ids)} "
-        f"cached={len(outcome.cached_ids)} workers={args.workers}"
+        ),
+        args,
+        "scenario sweep",
     )
-    return 0
 
 
 def _cmd_worker(args: argparse.Namespace) -> int:

@@ -11,9 +11,6 @@ tooling (Section 3):
   from 10-second TCP streams (Figures 7, 8);
 * :mod:`repro.measurement.campaign` — week-long measurement campaigns
   across providers, instance types and patterns (Table 3);
-* :mod:`repro.measurement.matrix` — whole-catalog matrix execution on
-  the :mod:`repro.runtime` layer: content-hashed cells, store-backed
-  caching, serial/pool/shard executors;
 * :mod:`repro.measurement.fingerprint` — the F5.2 protocol: baseline
   micro-benchmarks and token-bucket parameter identification
   (Figure 11's methodology).
@@ -26,11 +23,6 @@ from repro.measurement.campaign import (
     table3_campaigns,
 )
 from repro.measurement.capture import RetransmissionModel, segments_for_gbit
-from repro.measurement.matrix import (
-    MatrixOutcome,
-    campaign_cell_id,
-    run_campaign_matrix,
-)
 from repro.measurement.fingerprint import (
     NetworkFingerprint,
     TokenBucketEstimate,
@@ -54,9 +46,6 @@ __all__ = [
     "CampaignConfig",
     "CampaignResult",
     "run_campaign",
-    "run_campaign_matrix",
-    "MatrixOutcome",
-    "campaign_cell_id",
     "table3_campaigns",
     "NetworkFingerprint",
     "TokenBucketEstimate",

@@ -49,9 +49,9 @@ def run_wrapping_corruption(runner):
     """Run a :class:`~repro.runtime.campaign.CampaignRunner`, translating
     raw store corruption into :class:`RepositoryCorruptionError`.
 
-    Shared by every repository-backed campaign adapter (scenario
-    sweeps, measurement matrices) so callers keep catching the same
-    exception they did before the runtime refactor.
+    Used by :meth:`repro.runtime.campaign.Campaign.run`, so scenario
+    and serving sweeps raise the same exception for a damaged
+    repository.
     """
     try:
         return runner.run()

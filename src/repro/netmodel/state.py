@@ -24,6 +24,8 @@ Supported models are the ones cloud providers hand out
 :class:`~repro.netmodel.base.ConstantRateModel`; anything else raises
 a :class:`TypeError` naming the model, so an unsupported chain fails
 loudly at snapshot time rather than resuming from half a state.
+:func:`chained_models` is the successor cell's side: it checks that a
+predecessor result can seed the cell, then restores its models.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from repro.netmodel.stochastic import (
 )
 from repro.netmodel.token_bucket import TokenBucketModel, TokenBucketParams
 
-__all__ = ["model_state_dict", "model_from_state"]
+__all__ = ["model_state_dict", "model_from_state", "chained_models"]
 
 
 def _dist_to_json(dist: QuantileDistribution) -> dict:
@@ -174,3 +176,43 @@ def model_from_state(state: Mapping[str, Any]) -> LinkModel:
         _restore_rng(model._rng, state["rng"])
         return model
     raise ValueError(f"unknown link-model state kind {kind!r}")
+
+
+def chained_models(config, upstream, key: str) -> list[LinkModel]:
+    """A chained cell's link models, restored from its predecessor.
+
+    ``config`` is a scenario or serving config, ``upstream`` its
+    predecessor's result and ``key`` the cell's id.  Raises ValueError
+    when the predecessor is missing, carries no fabric state, ran
+    another provider incarnation, or has another node count.
+    """
+    if upstream is None:
+        raise ValueError(
+            f"cell {key} chains after {config.predecessor} but no "
+            "upstream result was supplied"
+        )
+    if upstream.fabric_state is None:
+        raise ValueError(
+            f"predecessor {config.predecessor} carries no fabric "
+            "state (stored by an older version?); recompute it"
+        )
+    if (
+        upstream.config.provider_name != config.provider_name
+        or upstream.config.instance_name != config.instance_name
+    ):
+        # The inherited models ARE the predecessor's provider
+        # incarnations; letting a cell labeled for another provider run
+        # on them would poison rows and cache keys alike.
+        raise ValueError(
+            f"chained cell {key} targets "
+            f"{config.provider_name}/{config.instance_name} but its "
+            f"predecessor ran {upstream.config.provider_name}/"
+            f"{upstream.config.instance_name}; a warm-fabric chain "
+            "stays on one provider incarnation"
+        )
+    if len(upstream.fabric_state) != config.n_nodes:
+        raise ValueError(
+            f"predecessor fabric has {len(upstream.fabric_state)} "
+            f"nodes, this cell needs {config.n_nodes}"
+        )
+    return [model_from_state(state) for state in upstream.fabric_state]

@@ -3,9 +3,9 @@
 The paper's core argument is that credible cloud-performance
 conclusions require *many* long, repeated campaigns; this package is
 the substrate that makes such campaigns cheap to run, cache, and
-distribute.  Every campaign-shaped workload in the library — scenario
-sweeps (:mod:`repro.scenarios`), Table 3 measurement matrices
-(:mod:`repro.measurement`), figure replay sweeps (:mod:`repro.paper`),
+distribute.  Every campaign-shaped workload in the library — DAG
+scenario sweeps (:mod:`repro.scenarios`), serving sweeps
+(:mod:`repro.serving`), figure replay sweeps (:mod:`repro.paper`),
 and the bench suite's provenance records (:mod:`repro.bench`) — runs
 through the same three abstractions:
 
@@ -30,7 +30,9 @@ produce byte-identical stores (checkable via
 :meth:`~repro.runtime.store.ArtifactStore.content_hash`).
 :class:`~repro.runtime.campaign.CampaignRunner` is the shared
 orchestration loop: snapshot the manifest, decode cached cells, run
-pending ones, persist each result as it arrives.
+pending ones, persist each result as it arrives.  The scenario and
+serving sweeps drive it through one config-level front end,
+:class:`~repro.runtime.campaign.Campaign`.
 
 **The failure model.**  Multi-day campaigns on preemptible cloud
 nodes *will* lose workers, and the runtime is built so that losing one
@@ -90,7 +92,12 @@ is boring.  The assumptions and guarantees, from the bottom up:
   pulled-and-merged store hash must still equal the serial run's.
 """
 
-from repro.runtime.campaign import ArtifactCodec, CampaignRunner, RuntimeOutcome
+from repro.runtime.campaign import (
+    ArtifactCodec,
+    Campaign,
+    CampaignOutcome,
+    CampaignRunner,
+)
 from repro.runtime.cell import (
     Cell,
     cell_key,
@@ -152,6 +159,8 @@ from repro.runtime.worker import (
 __all__ = [
     "ArtifactCodec",
     "ArtifactStore",
+    "Campaign",
+    "CampaignOutcome",
     "CampaignRunner",
     "Cell",
     "CellExecutionError",
@@ -165,7 +174,6 @@ __all__ = [
     "ProcessPoolExecutor",
     "RemoteStore",
     "RetryPolicy",
-    "RuntimeOutcome",
     "SerialExecutor",
     "ShardExecutor",
     "StoreCorruptionError",

@@ -1,8 +1,8 @@
 """The campaign runner: cache-aware execution of a cell matrix.
 
 :class:`CampaignRunner` is the one orchestration loop every consumer
-layer shares — scenario sweeps, Table 3 measurement matrices, figure
-replay sweeps, and the bench suite's provenance pass all reduce to:
+layer shares — DAG scenario sweeps, serving sweeps, figure replay
+sweeps, and the bench suite's provenance pass all reduce to:
 
 1. snapshot the store's manifest once (probing per cell would re-parse
    it for every cell of a large matrix);
@@ -15,19 +15,37 @@ The runner is generic over the result type: an
 manifest metadata) with the decoder (cell + documents -> result), both
 referenced by import path so shard manifests can name them across
 machine boundaries.
+
+The scenario and serving layers share the config-level pieces too:
+:class:`Campaign` (configs to cells, executor, shard manifests, one
+runner pass), :func:`config_cells`, :func:`config_batch_executor`,
+:func:`chain_configs` and :func:`axis_seed`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Mapping, Sequence
+import hashlib
+import json
+from dataclasses import asdict, dataclass, replace
+from pathlib import Path
+from typing import Any, Callable, Mapping, Sequence
 
 from repro.obs.provenance import PROVENANCE_KEY
 from repro.runtime.cell import Cell, resolve_ref
-from repro.runtime.executors import SerialExecutor
+from repro.runtime.executors import BatchExecutor, ProcessPoolExecutor, SerialExecutor
 from repro.runtime.store import ArtifactStore
+from repro.runtime.worker import write_shard_manifests
 
-__all__ = ["ArtifactCodec", "CampaignRunner", "RuntimeOutcome"]
+__all__ = [
+    "ArtifactCodec",
+    "Campaign",
+    "CampaignOutcome",
+    "CampaignRunner",
+    "axis_seed",
+    "chain_configs",
+    "config_batch_executor",
+    "config_cells",
+]
 
 
 @dataclass(frozen=True)
@@ -52,17 +70,23 @@ class ArtifactCodec:
 
 
 @dataclass
-class RuntimeOutcome:
+class CampaignOutcome:
     """Everything one runner pass produced, cache hits included."""
 
     results: dict[str, Any]
-    cached_keys: tuple[str, ...]
-    computed_keys: tuple[str, ...]
+    cached_ids: tuple[str, ...]
+    computed_ids: tuple[str, ...]
+
+    def aggregate_rows(self, keys: Sequence[str] | None = None) -> list[dict]:
+        """Sweep-table rows in ``keys`` order (default: sorted by key)."""
+        if keys is None:
+            keys = sorted(self.results)
+        return [self.results[key].aggregate_row() for key in keys]
 
     @property
     def cache_hit_fraction(self) -> float:
-        total = len(self.cached_keys) + len(self.computed_keys)
-        return len(self.cached_keys) / total if total else 0.0
+        total = len(self.cached_ids) + len(self.computed_ids)
+        return len(self.cached_ids) / total if total else 0.0
 
 
 class CampaignRunner:
@@ -90,7 +114,7 @@ class CampaignRunner:
         self.codec = codec
         self.executor = executor if executor is not None else SerialExecutor()
 
-    def run(self) -> RuntimeOutcome:
+    def run(self) -> CampaignOutcome:
         """Execute pending cells, reload cached ones."""
         # One manifest snapshot serves both the pending/cached split
         # and every cached cell's document reads.
@@ -144,10 +168,10 @@ class CampaignRunner:
 
         results = dict(cached)
         results.update(computed)
-        return RuntimeOutcome(
+        return CampaignOutcome(
             results=results,
-            cached_keys=tuple(sorted(cached)),
-            computed_keys=tuple(sorted(computed)),
+            cached_ids=tuple(sorted(cached)),
+            computed_ids=tuple(sorted(computed)),
         )
 
     def _persist(
@@ -177,3 +201,127 @@ class CampaignRunner:
         except ValueError:
             if cell.key not in self.store:
                 raise
+
+
+class Campaign:
+    """Runs a config matrix, caching cells in a trace repository.
+
+    A thin front end over :class:`CampaignRunner`: cells store as they
+    complete, so an interrupted sweep keeps its finished work.
+    ``executor`` overrides the strategy derived from ``workers``
+    (serial for 1, a chunked process pool otherwise); use
+    :meth:`shard_manifests` with the ``repro worker`` / ``repro merge``
+    CLI for multi-machine runs.  Subclasses set :attr:`codec` and
+    :attr:`make_cells`.
+    """
+
+    #: The layer's store codec.
+    codec: ArtifactCodec
+    #: Maps configs to cells keyed by each config's content hash.
+    make_cells: Callable[[list], list[Cell]]
+
+    def __init__(
+        self, configs: Sequence, repository=None, workers: int = 1, executor=None
+    ) -> None:
+        if workers < 1:
+            raise ValueError("workers must be >= 1")
+        if executor is None:
+            executor = (
+                SerialExecutor() if workers == 1 else ProcessPoolExecutor(workers)
+            )
+        self.configs = list(configs)
+        self.cells = self.make_cells(self.configs)
+        self.runner = CampaignRunner(
+            self.cells,
+            store=repository.artifacts if repository else None,
+            codec=self.codec,
+            executor=executor,
+        )
+
+    def shard_manifests(self, directory: str | Path, n_shards: int) -> list[Path]:
+        """Write per-machine shard manifests for this matrix.
+
+        Each manifest runs via ``python -m repro worker <manifest>
+        --store <dir>``; the resulting stores merge back with
+        ``python -m repro merge``.
+        """
+        return write_shard_manifests(
+            self.cells,
+            n_shards=n_shards,
+            directory=directory,
+            encode_ref=self.codec.encode_ref,
+            decode_ref=self.codec.decode_ref,
+        )
+
+    def run(self) -> CampaignOutcome:
+        """Execute pending cells, reload cached ones.
+
+        Raises :class:`~repro.measurement.repository.RepositoryCorruptionError`
+        when a cached cell's files have gone missing behind the
+        manifest's back.
+        """
+        # The repository layer builds on the runtime: import at call time.
+        from repro.measurement.repository import run_wrapping_corruption
+
+        return run_wrapping_corruption(self.runner)
+
+
+def config_cells(configs: Sequence, fn: str, key: Callable[[Any], str]) -> list[Cell]:
+    """Configs as cells running ``fn``, keyed by ``key`` (a content hash).
+
+    A config's ``predecessor`` becomes the cell's ``after`` link, which
+    keeps a warm-fabric chain ordered, and on one shard, under every
+    executor.
+    """
+    return [
+        Cell(fn=fn, payload=asdict(config), key=key(config), after=config.predecessor)
+        for config in configs
+    ]
+
+
+def config_batch_executor(
+    config_cls: type, run_batched: Callable, batch_size: int = 32
+) -> BatchExecutor:
+    """A :class:`~repro.runtime.executors.BatchExecutor` for config cells.
+
+    Its runner rebuilds each cell's config from the payload and runs the
+    batch with ``run_batched(configs, upstreams)``.
+    """
+
+    def run_payloads(payloads: list[Mapping], upstreams: list) -> list:
+        configs = [config_cls(**payload) for payload in payloads]
+        return run_batched(configs, upstreams)
+
+    return BatchExecutor(run_payloads, batch_size=batch_size)
+
+
+def chain_configs(base, length: int, key: Callable[[Any], str]) -> list:
+    """A warm-fabric chain of ``length`` configs rooted at ``base``.
+
+    Link ``i`` names link ``i-1`` (by ``key``, its content hash) as its
+    predecessor and derives a distinct seed, so each link is a
+    *different* tenant arriving on the fabric the previous tenant left
+    warm: shaper budgets, stream ages, and RNG positions all carry
+    over.  Chain ids are stable: each link's key covers its
+    predecessor's, so extending a chain never invalidates its prefix.
+    """
+    if length < 1:
+        raise ValueError("a chain needs at least one cell")
+    configs = [base]
+    for i in range(1, length):
+        configs.append(
+            replace(base, seed=base.seed + i, predecessor=key(configs[-1]))
+        )
+    return configs
+
+
+def axis_seed(seed: int, *axes) -> int:
+    """A matrix cell's seed from the base seed and its own axis values.
+
+    The seed hashes the cell's axis values, not its position in the
+    cross product, so cells are statistically independent yet stable:
+    extending an axis later leaves every existing cell's seed, and so
+    its cache key, unchanged.
+    """
+    cell_key = json.dumps([int(seed), *axes])
+    return seed + int.from_bytes(hashlib.sha256(cell_key.encode()).digest()[:4], "big")

@@ -45,6 +45,7 @@ from repro.runtime.store import validate_key
 __all__ = [
     "Cell",
     "cell_key",
+    "content_id",
     "resolve_ref",
     "execute_cell",
     "execute_cell_graph",
@@ -67,6 +68,12 @@ def resolve_ref(ref: str) -> Callable:
     return target
 
 
+def content_id(prefix: str, body: Any) -> str:
+    """``prefix-`` plus 16 hex digits of the sha256 of ``body`` as sorted JSON."""
+    payload = json.dumps(body, sort_keys=True)
+    return f"{prefix}-{hashlib.sha256(payload.encode()).hexdigest()[:16]}"
+
+
 def cell_key(fn: str, payload: Any, after: str | None = None) -> str:
     """Content hash of a cell: same function + same payload => same key.
 
@@ -75,12 +82,7 @@ def cell_key(fn: str, payload: Any, after: str | None = None) -> str:
     unchained cells hash exactly as they always did, so existing stores
     stay warm.
     """
-    body = json.dumps(
-        [fn, payload] if after is None else [fn, payload, after],
-        sort_keys=True,
-    )
-    digest = hashlib.sha256(body.encode()).hexdigest()[:16]
-    return f"cell-{digest}"
+    return content_id("cell", [fn, payload] if after is None else [fn, payload, after])
 
 
 @dataclass(frozen=True)

@@ -221,9 +221,10 @@ class BatchExecutor:
     :mod:`repro.simulator.multistream`) and returns one result per
     payload — *bit-identical* to running the cells serially, just
     cheaper, because per-step numpy dispatch amortizes across the
-    batch.  The scenario layer's runner is
-    ``repro.scenarios.orchestrate:run_scenario_payloads_batched``
-    (see :func:`repro.scenarios.orchestrate.batch_executor`).
+    batch.  Both campaign layers build theirs with
+    :func:`repro.runtime.campaign.config_batch_executor`
+    (:func:`repro.scenarios.orchestrate.batch_executor`,
+    :func:`repro.serving.scenario.serving_batch_executor`).
 
     Warm-fabric chains cannot run lockstep (a successor needs its
     predecessor's *final* fabric), so multi-cell chain components fall

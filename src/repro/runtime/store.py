@@ -1,9 +1,9 @@
 """Content-addressed artifact store with atomic, durable writes.
 
 One :class:`ArtifactStore` is the persistence substrate for every
-campaign-shaped workload in the library: scenario sweeps, Table 3
-measurement matrices, shard workers on other machines, and the bench
-ledger's provenance records all write the same layout::
+campaign-shaped workload in the library: scenario and serving
+sweeps, Table 3 trace repositories, shard workers on other machines,
+and the bench ledger's provenance records all write the same layout::
 
     <root>/
       manifest.json            index: key -> metadata (+ document list)

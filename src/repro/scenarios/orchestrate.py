@@ -16,8 +16,8 @@ cells it can afford to run, so the orchestrator makes cells cheap —
 * per-cell results aggregate through :mod:`repro.stats` into CoV and
   CONFIRM-widening verdicts, the same statistics the paper reports.
 
-:class:`ScenarioCampaign` is a thin adapter over
-:class:`repro.runtime.campaign.CampaignRunner`: it maps configs to
+:class:`ScenarioCampaign` is the DAG-scenario
+:class:`repro.runtime.campaign.Campaign`: it maps configs to
 :class:`~repro.runtime.cell.Cell`\\ s (keyed by ``scenario_id``, so
 pre-runtime repositories stay warm) and decodes stored artifacts back
 into :class:`ScenarioResult`\\ s.
@@ -25,29 +25,32 @@ into :class:`ScenarioResult`\\ s.
 
 from __future__ import annotations
 
-import hashlib
-import json
+import itertools
 import math
-from dataclasses import asdict, dataclass, replace
-from pathlib import Path
+from dataclasses import asdict, dataclass
+from operator import attrgetter
 from typing import Mapping
 
 import numpy as np
 
 from repro.cloud.providers import default_providers
-from repro.netmodel.state import model_from_state, model_state_dict
+from repro.netmodel.state import chained_models, model_state_dict
 from repro.simulator.fabric import Fabric
 from repro.measurement.campaign import CampaignConfig, CampaignResult
 from repro.measurement.repository import (
-    TraceRepository,
     campaign_from_documents,
     campaign_to_documents,
-    run_wrapping_corruption,
 )
-from repro.runtime.campaign import ArtifactCodec, CampaignRunner
-from repro.runtime.cell import Cell
-from repro.runtime.executors import ProcessPoolExecutor, SerialExecutor
-from repro.runtime.worker import write_shard_manifests
+from repro.runtime.campaign import (
+    ArtifactCodec,
+    Campaign,
+    CampaignOutcome,
+    axis_seed,
+    chain_configs,
+    config_batch_executor,
+    config_cells,
+)
+from repro.runtime.cell import Cell, content_id
 from repro.scenarios.generate import (
     RandomDagConfig,
     WorkloadMix,
@@ -58,6 +61,7 @@ from repro.scenarios.generate import (
 )
 from repro.simulator.cluster import Cluster, NodeSpec
 from repro.simulator.engine import SCHEDULERS, SparkEngine
+from repro.simulator.multistream import StreamTask, run_cells, stream_state
 from repro.stats.confirm import confirm_curve
 from repro.stats.cov import coefficient_of_variation
 from repro.trace import BandwidthTrace
@@ -72,7 +76,6 @@ __all__ = [
     "prepare_scenario",
     "finish_scenario",
     "run_scenario_payload",
-    "run_scenario_payloads_batched",
     "batch_executor",
     "scenario_matrix",
     "chain_scenarios",
@@ -184,9 +187,7 @@ class ScenarioConfig:
             payload_dict.pop("deadline_slack")
         if self.predecessor is None:
             payload_dict.pop("predecessor")
-        payload = json.dumps(payload_dict, sort_keys=True)
-        digest = hashlib.sha256(payload.encode()).hexdigest()[:16]
-        return f"scn-{digest}"
+        return content_id("scn", payload_dict)
 
 
 @dataclass
@@ -367,18 +368,22 @@ class _PreparedScenario:
     """A cell built and ready to stream: the prepare/finish seam.
 
     :func:`run_scenario` is prepare → ``engine.run_stream`` → finish;
-    the batched path (:func:`run_scenarios_batched`) swaps the middle
-    for one :func:`repro.simulator.multistream.run_streams` call over
-    many cells.  Everything up to and including engine construction —
-    provider incarnations, arrival draws, the job stream, deadline
-    synthesis — happens in prepare, in the exact serial RNG order, so
-    the two paths are bit-identical per cell.
+    :func:`run_scenarios_batched` swaps the middle for a batched run.
+    Every RNG draw happens in prepare, in serial order, so the two
+    paths are bit-identical per cell.
     """
 
     config: ScenarioConfig
     engine: SparkEngine
     stream: list
     fabric: Fabric
+
+    @property
+    def state(self):
+        """A fresh unrun stream state for the cell, for the batched driver."""
+        return stream_state(
+            StreamTask(self.engine, self.stream, self.config.scheduler, self.fabric)
+        )
 
 
 def prepare_scenario(
@@ -387,36 +392,7 @@ def prepare_scenario(
     """Build one cell's engine, workload stream, and fabric."""
     rng = np.random.default_rng(config.seed)
     if config.predecessor is not None:
-        if upstream is None:
-            raise ValueError(
-                f"cell {config.scenario_id} chains after "
-                f"{config.predecessor} but no upstream result was supplied"
-            )
-        if upstream.fabric_state is None:
-            raise ValueError(
-                f"predecessor {config.predecessor} carries no fabric "
-                "state (stored by an older version?); recompute it"
-            )
-        if (
-            upstream.config.provider_name != config.provider_name
-            or upstream.config.instance_name != config.instance_name
-        ):
-            # The inherited models ARE the predecessor's provider
-            # incarnations; letting a cell labeled for another provider
-            # run on them would poison rows and cache keys alike.
-            raise ValueError(
-                f"chained cell {config.scenario_id} targets "
-                f"{config.provider_name}/{config.instance_name} but its "
-                f"predecessor ran {upstream.config.provider_name}/"
-                f"{upstream.config.instance_name}; a warm-fabric chain "
-                "stays on one provider incarnation"
-            )
-        if len(upstream.fabric_state) != config.n_nodes:
-            raise ValueError(
-                f"predecessor fabric has {len(upstream.fabric_state)} "
-                f"nodes, this cell needs {config.n_nodes}"
-            )
-        models = [model_from_state(s) for s in upstream.fabric_state]
+        models = chained_models(config, upstream, config.scenario_id)
     else:
         provider = default_providers()[config.provider_name]
         models = [
@@ -493,73 +469,16 @@ def run_scenarios_batched(
     configs: "list[ScenarioConfig]",
     upstreams: "list[ScenarioResult | None] | None" = None,
 ) -> "list[ScenarioResult]":
-    """Run independent cells through the batched multistream runner.
+    """Run cells through :func:`repro.simulator.multistream.run_cells`.
 
-    Bit-identical to ``[run_scenario(c, u) for c, u in ...]`` — each
-    cell's RNG draws, event order, and floats are unchanged — but all
-    cells' shaper-fleet work batches through one concatenated
-    super-fleet per fleet class (cells are grouped automatically, so
-    mixed-provider matrices work; each group runs as one lockstep
-    batch).  Cells must be independent of *each other* — chained cells
-    may appear only with their upstream result supplied, like
-    :func:`run_scenario`.
+    Bit-identical per cell to ``run_scenario(config, upstream)``.
     """
-    from repro.simulator.multistream import StreamTask, run_streams
-
-    if upstreams is None:
-        upstreams = [None] * len(configs)
-    if len(upstreams) != len(configs):
-        raise ValueError("one upstream entry (or None) per config required")
-    prepared = [
-        prepare_scenario(config, upstream=upstream)
-        for config, upstream in zip(configs, upstreams)
-    ]
-    # Group by concrete fleet class: the super-fleet concatenation
-    # requires homogeneity, and grouping preserves per-cell results
-    # exactly (cells are independent).
-    groups: dict[type, list[int]] = {}
-    for index, prep in enumerate(prepared):
-        groups.setdefault(type(prep.fabric.fleet), []).append(index)
-    results: list[ScenarioResult | None] = [None] * len(configs)
-    for indices in groups.values():
-        outcomes = run_streams(
-            [
-                StreamTask(
-                    engine=prepared[i].engine,
-                    arrivals=prepared[i].stream,
-                    scheduler=prepared[i].config.scheduler,
-                    fabric=prepared[i].fabric,
-                )
-                for i in indices
-            ]
-        )
-        for i, outcome in zip(indices, outcomes):
-            results[i] = finish_scenario(prepared[i], outcome)
-    return results  # type: ignore[return-value]
+    return run_cells(configs, upstreams, prepare_scenario, finish_scenario)
 
 
 def chain_scenarios(base: ScenarioConfig, length: int) -> list[ScenarioConfig]:
-    """A warm-fabric chain of ``length`` cells rooted at ``base``.
-
-    Link ``i`` names link ``i-1`` as its predecessor and derives a
-    distinct workload seed, so each link is a *different* tenant
-    arriving on the fabric the previous tenant left warm — shaper
-    budgets, stream ages, and RNG positions all carry over.  Chain ids
-    are stable: each link's ``scenario_id`` covers its predecessor's,
-    so extending a chain never invalidates its existing prefix.
-    """
-    if length < 1:
-        raise ValueError("a chain needs at least one cell")
-    configs = [base]
-    for i in range(1, length):
-        configs.append(
-            replace(
-                base,
-                seed=base.seed + i,
-                predecessor=configs[-1].scenario_id,
-            )
-        )
-    return configs
+    """A warm-fabric chain (:func:`repro.runtime.campaign.chain_configs`)."""
+    return chain_configs(base, length, attrgetter("scenario_id"))
 
 
 def scenario_matrix(
@@ -579,10 +498,8 @@ def scenario_matrix(
     """Cross product of the requested axes, one config per cell.
 
     Each cell's seed derives from the base ``seed`` and the cell's own
-    axis values (not its position in the cross product), so cells are
-    statistically independent yet *stable*: extending an axis later
-    leaves every pre-existing cell's seed — and therefore its
-    ``scenario_id`` cache key — unchanged.
+    axis values (:func:`repro.runtime.campaign.axis_seed`), so extending
+    an axis later leaves every existing ``scenario_id`` unchanged.
 
     ``deadline_slack`` > 0 synthesizes per-job deadlines in every cell
     (reported as miss rates; ordering-relevant under the "edf"
@@ -593,37 +510,26 @@ def scenario_matrix(
         raise ValueError("chain_length must be >= 1")
     instances = {**DEFAULT_INSTANCES, **(instances or {})}
     configs = []
-    for provider in providers:
-        for rate in arrival_rates:
-            for scheduler in schedulers:
-                for workload in workloads:
-                    cell_key = json.dumps(
-                        [
-                            int(seed),
-                            provider,
-                            instances[provider],
-                            float(rate),
-                            scheduler,
-                            workload,
-                        ]
-                    )
-                    cell_seed = seed + int.from_bytes(
-                        hashlib.sha256(cell_key.encode()).digest()[:4], "big"
-                    )
-                    base = ScenarioConfig(
-                        provider_name=provider,
-                        instance_name=instances[provider],
-                        n_nodes=n_nodes,
-                        slots=slots,
-                        n_jobs=n_jobs,
-                        arrival_rate_per_min=rate,
-                        scheduler=scheduler,
-                        workload=workload,
-                        data_scale=data_scale,
-                        seed=cell_seed,
-                        deadline_slack=deadline_slack,
-                    )
-                    configs.extend(chain_scenarios(base, chain_length))
+    for provider, rate, scheduler, workload in itertools.product(
+        providers, arrival_rates, schedulers, workloads
+    ):
+        instance = instances[provider]
+        base = ScenarioConfig(
+            provider_name=provider,
+            instance_name=instance,
+            n_nodes=n_nodes,
+            slots=slots,
+            n_jobs=n_jobs,
+            arrival_rate_per_min=rate,
+            scheduler=scheduler,
+            workload=workload,
+            data_scale=data_scale,
+            seed=axis_seed(
+                seed, provider, instance, float(rate), scheduler, workload
+            ),
+            deadline_slack=deadline_slack,
+        )
+        configs.extend(chain_scenarios(base, chain_length))
     return configs
 
 
@@ -649,20 +555,6 @@ def run_scenario_payload(
     return run_scenario(config, upstream=upstream)
 
 
-def run_scenario_payloads_batched(
-    payloads: "list[Mapping]", upstreams: "list[ScenarioResult | None]"
-) -> "list[ScenarioResult]":
-    """Batch-runner hook for :class:`repro.runtime.executors.BatchExecutor`.
-
-    The batched counterpart of :func:`run_scenario_payload`: decodes
-    each cell payload and runs the whole group through the multistream
-    runner, returning results in payload order — bit-identical to the
-    per-cell path.
-    """
-    configs = [ScenarioConfig(**payload) for payload in payloads]
-    return run_scenarios_batched(configs, upstreams)
-
-
 def batch_executor(batch_size: int = 32):
     """A :class:`~repro.runtime.executors.BatchExecutor` wired for scenarios.
 
@@ -675,9 +567,7 @@ def batch_executor(batch_size: int = 32):
     Results — rows, checksums, cache keys — are bit-identical to the
     serial default; only the wall clock changes.
     """
-    from repro.runtime.executors import BatchExecutor
-
-    return BatchExecutor(run_scenario_payloads_batched, batch_size=batch_size)
+    return config_batch_executor(ScenarioConfig, run_scenarios_batched, batch_size)
 
 
 def encode_scenario_result(result: ScenarioResult) -> tuple[dict, dict]:
@@ -714,124 +604,19 @@ SCENARIO_CODEC = ArtifactCodec(
 
 
 def scenario_cells(configs: list[ScenarioConfig]) -> list[Cell]:
-    """Map scenario configs to runtime cells.
+    """Map scenario configs to runtime cells keyed by ``scenario_id``.
 
-    Cells keep ``scenario_id`` as their key, so repositories populated
-    before the runtime refactor keep serving cache hits; a config's
-    ``predecessor`` becomes the cell's ``after`` link, which is what
-    keeps a warm-fabric chain ordered (and on one shard) under every
-    executor.
+    The key predates the runtime layer, so older repositories stay warm.
     """
-    return [
-        Cell(
-            fn="repro.scenarios.orchestrate:run_scenario_payload",
-            payload=asdict(config),
-            key=config.scenario_id,
-            after=config.predecessor,
-        )
-        for config in configs
-    ]
+    return config_cells(
+        configs,
+        "repro.scenarios.orchestrate:run_scenario_payload",
+        attrgetter("scenario_id"),
+    )
 
 
-@dataclass
-class CampaignOutcome:
-    """Everything one campaign run produced, cache hits included."""
+class ScenarioCampaign(Campaign):
+    """Runs a scenario matrix; see :class:`repro.runtime.campaign.Campaign`."""
 
-    results: dict[str, ScenarioResult]
-    cached_ids: tuple[str, ...]
-    computed_ids: tuple[str, ...]
-
-    def aggregate_rows(self) -> list[dict]:
-        """Sweep-table rows, deterministically ordered by scenario id."""
-        return [
-            self.results[sid].aggregate_row() for sid in sorted(self.results)
-        ]
-
-    @property
-    def cache_hit_fraction(self) -> float:
-        total = len(self.cached_ids) + len(self.computed_ids)
-        return len(self.cached_ids) / total if total else 0.0
-
-
-class ScenarioCampaign:
-    """Runs a scenario matrix, caching cells in a trace repository.
-
-    A thin adapter over :class:`repro.runtime.campaign.CampaignRunner`:
-    cells store as they complete, so an interrupted or partially
-    failing sweep keeps its finished work, and the repository's
-    manifest writes are atomic (single coordinating writer per
-    executor; shard workers write their own stores and merge).
-
-    ``executor`` overrides the strategy derived from ``workers``
-    (serial for 1, a chunked process pool otherwise) — pass a
-    :class:`repro.runtime.executors.ShardExecutor` to split the matrix
-    into per-machine manifests, or use :meth:`shard_manifests` and the
-    ``repro worker`` / ``repro merge`` CLI directly.
-    """
-
-    def __init__(
-        self,
-        configs: list[ScenarioConfig],
-        repository: TraceRepository | None = None,
-        workers: int = 1,
-        executor=None,
-    ) -> None:
-        if not configs:
-            raise ValueError("a campaign needs at least one scenario")
-        if workers < 1:
-            raise ValueError("workers must be >= 1")
-        ids = [c.scenario_id for c in configs]
-        if len(set(ids)) != len(ids):
-            raise ValueError("duplicate scenario configs in the matrix")
-        self.configs = list(configs)
-        self.repository = repository
-        self.workers = workers
-        if executor is None:
-            executor = (
-                SerialExecutor()
-                if workers == 1
-                else ProcessPoolExecutor(workers)
-            )
-        self.executor = executor
-
-    @property
-    def cells(self) -> list[Cell]:
-        """The matrix as runtime cells (keyed by ``scenario_id``)."""
-        return scenario_cells(self.configs)
-
-    def shard_manifests(
-        self, directory: str | Path, n_shards: int
-    ) -> list[Path]:
-        """Write per-machine shard manifests for this matrix.
-
-        Each manifest runs via ``python -m repro worker <manifest>
-        --store <dir>``; the resulting stores merge back with
-        ``python -m repro merge``.
-        """
-        return write_shard_manifests(
-            self.cells,
-            n_shards=n_shards,
-            directory=directory,
-            encode_ref=SCENARIO_CODEC.encode_ref,
-            decode_ref=SCENARIO_CODEC.decode_ref,
-        )
-
-    def run(self) -> CampaignOutcome:
-        """Execute pending cells (per the executor), reload cached ones.
-
-        Raises :class:`~repro.measurement.repository.RepositoryCorruptionError`
-        when a cached cell's files have gone missing behind the
-        manifest's back, exactly as the pre-runtime campaign did.
-        """
-        runner = CampaignRunner(
-            self.cells,
-            store=self.repository.artifacts if self.repository else None,
-            codec=SCENARIO_CODEC,
-            executor=self.executor,
-        )
-        outcome = run_wrapping_corruption(runner)
-        return CampaignOutcome(
-            results=dict(outcome.results),
-            cached_ids=outcome.cached_keys,
-            computed_ids=outcome.computed_keys,
-        )
+    codec = SCENARIO_CODEC
+    make_cells = staticmethod(scenario_cells)

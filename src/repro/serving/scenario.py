@@ -1,14 +1,15 @@
 """Serving campaign cells: content-hashed configs, codec, matrices.
 
-The serving counterpart of :mod:`repro.scenarios.orchestrate`: one
-:class:`ServingConfig` fully determines one serving run (provider
+One :class:`ServingConfig` fully determines one serving run (provider
 incarnations, topology, arrival draws, compute noise — all from one
 seeded generator), hashes to a stable ``srv-…`` id, and executes as a
 :class:`~repro.runtime.cell.Cell` under every executor — serial,
-process pool, the batched multistream driver (serving states ride
-:func:`repro.simulator.multistream.run_cores` exactly like DAG
-streams), or per-machine shard manifests via ``repro worker`` /
-``repro merge``.
+process pool, the batched multistream driver, or per-machine shard
+manifests via ``repro worker`` / ``repro merge``.  The campaign
+plumbing is shared with the DAG scenario layer: the campaign front end,
+chain builder, and matrix seeds live in :mod:`repro.runtime.campaign`,
+the predecessor checks in :mod:`repro.netmodel.state`, and the batched
+driver in :mod:`repro.simulator.multistream`.
 
 The experiment this layer exists for is the variability-meets-serving
 question: the pseudo-provider ``"fixed"`` gives every node a
@@ -22,26 +23,26 @@ under burst traffic.
 
 from __future__ import annotations
 
-import hashlib
-import json
+import itertools
 import math
-from dataclasses import asdict, dataclass, replace
-from pathlib import Path
+from dataclasses import asdict, dataclass
+from operator import attrgetter
 from typing import Mapping
 
 import numpy as np
 
 from repro.cloud.providers import default_providers
-from repro.measurement.repository import (
-    TraceRepository,
-    run_wrapping_corruption,
-)
 from repro.netmodel.base import ConstantRateModel
-from repro.netmodel.state import model_from_state, model_state_dict
-from repro.runtime.campaign import ArtifactCodec, CampaignRunner
-from repro.runtime.cell import Cell
-from repro.runtime.executors import ProcessPoolExecutor, SerialExecutor
-from repro.runtime.worker import write_shard_manifests
+from repro.netmodel.state import chained_models, model_state_dict
+from repro.runtime.campaign import (
+    ArtifactCodec,
+    Campaign,
+    axis_seed,
+    chain_configs,
+    config_batch_executor,
+    config_cells,
+)
+from repro.runtime.cell import Cell, content_id
 from repro.serving.arrivals import (
     diurnal_process,
     flash_crowd_process,
@@ -52,6 +53,8 @@ from repro.serving.state import ServingState
 from repro.serving.topology import ServiceTopology
 from repro.simulator.cluster import Cluster, NodeSpec
 from repro.simulator.engine import SparkEngine
+from repro.simulator.fabric import Fabric
+from repro.simulator.multistream import run_cells
 
 __all__ = [
     "ServingConfig",
@@ -62,7 +65,6 @@ __all__ = [
     "finish_serving",
     "run_servings_batched",
     "run_serving_payload",
-    "run_serving_payloads_batched",
     "serving_batch_executor",
     "serving_matrix",
     "chain_serving",
@@ -183,9 +185,7 @@ class ServingConfig:
         payload_dict = asdict(self)
         if self.predecessor is None:
             payload_dict.pop("predecessor")
-        payload = json.dumps(payload_dict, sort_keys=True)
-        digest = hashlib.sha256(payload.encode()).hexdigest()[:16]
-        return f"srv-{digest}"
+        return content_id("srv", payload_dict)
 
     def build_topology(self) -> ServiceTopology:
         if self.topology == "line":
@@ -299,15 +299,17 @@ def _build_arrivals(config: ServingConfig, rng: np.random.Generator):
 class _PreparedServing:
     """A cell built and ready to run: the prepare/finish seam.
 
-    :func:`run_serving` is prepare → ``state.execute()`` → finish; the
-    batched path swaps the middle for one
-    :func:`~repro.simulator.multistream.run_cores` call over many
-    cells' states.  All RNG-consuming construction happens in prepare,
-    so the two paths are bit-identical per cell.
+    :func:`run_serving` is prepare → ``state.execute()`` → finish;
+    :func:`run_servings_batched` swaps the middle for a batched run.
+    Every RNG draw happens in prepare, so both are bit-identical per cell.
     """
 
     config: ServingConfig
     state: ServingState
+
+    @property
+    def fabric(self) -> Fabric:
+        return self.state.fabric
 
 
 def prepare_serving(
@@ -316,32 +318,7 @@ def prepare_serving(
     """Build one cell's cluster, fabric, topology, and serving state."""
     rng = np.random.default_rng(config.seed)
     if config.predecessor is not None:
-        if upstream is None:
-            raise ValueError(
-                f"cell {config.serving_id} chains after "
-                f"{config.predecessor} but no upstream result was supplied"
-            )
-        if upstream.fabric_state is None:
-            raise ValueError(
-                f"predecessor {config.predecessor} carries no fabric state"
-            )
-        if (
-            upstream.config.provider_name != config.provider_name
-            or upstream.config.instance_name != config.instance_name
-        ):
-            raise ValueError(
-                f"chained cell {config.serving_id} targets "
-                f"{config.provider_name}/{config.instance_name} but its "
-                f"predecessor ran {upstream.config.provider_name}/"
-                f"{upstream.config.instance_name}; a warm-fabric chain "
-                "stays on one provider incarnation"
-            )
-        if len(upstream.fabric_state) != config.n_nodes:
-            raise ValueError(
-                f"predecessor fabric has {len(upstream.fabric_state)} "
-                f"nodes, this cell needs {config.n_nodes}"
-            )
-        models = [model_from_state(s) for s in upstream.fabric_state]
+        models = chained_models(config, upstream, config.serving_id)
     elif config.provider_name == "fixed":
         models = [
             ConstantRateModel(FIXED_RATE_GBPS) for _ in range(config.n_nodes)
@@ -407,48 +384,16 @@ def run_servings_batched(
     configs: "list[ServingConfig]",
     upstreams: "list[ServingCellResult | None] | None" = None,
 ) -> "list[ServingCellResult]":
-    """Run independent serving cells through the lockstep batched driver.
+    """Run cells through :func:`repro.simulator.multistream.run_cells`.
 
-    Bit-identical to ``[run_serving(c, u) for ...]`` per cell; all
-    cells' shaper-fleet work batches through one concatenated
-    super-fleet per fleet class, exactly like
-    :func:`repro.scenarios.orchestrate.run_scenarios_batched`.
+    Bit-identical per cell to ``run_serving(config, upstream)``.
     """
-    from repro.simulator.multistream import run_cores
-
-    if upstreams is None:
-        upstreams = [None] * len(configs)
-    if len(upstreams) != len(configs):
-        raise ValueError("one upstream entry (or None) per config required")
-    prepared = [
-        prepare_serving(config, upstream=upstream)
-        for config, upstream in zip(configs, upstreams)
-    ]
-    groups: dict[type, list[int]] = {}
-    for index, prep in enumerate(prepared):
-        groups.setdefault(type(prep.state.fabric.fleet), []).append(index)
-    results: list[ServingCellResult | None] = [None] * len(configs)
-    for indices in groups.values():
-        outcomes = run_cores([prepared[i].state for i in indices])
-        for i, outcome in zip(indices, outcomes):
-            results[i] = finish_serving(prepared[i], outcome)
-    return results  # type: ignore[return-value]
+    return run_cells(configs, upstreams, prepare_serving, finish_serving)
 
 
 def chain_serving(base: ServingConfig, length: int) -> list[ServingConfig]:
-    """A warm-fabric chain of ``length`` serving cells rooted at ``base``."""
-    if length < 1:
-        raise ValueError("a chain needs at least one cell")
-    configs = [base]
-    for i in range(1, length):
-        configs.append(
-            replace(
-                base,
-                seed=base.seed + i,
-                predecessor=configs[-1].serving_id,
-            )
-        )
-    return configs
+    """A warm-fabric chain (:func:`repro.runtime.campaign.chain_configs`)."""
+    return chain_configs(base, length, attrgetter("serving_id"))
 
 
 def serving_matrix(
@@ -470,47 +415,33 @@ def serving_matrix(
     """Cross product of the serving axes, one config per cell.
 
     Cell seeds derive from the base seed and the cell's own axis values
-    (not its position), so extending an axis later never changes a
-    pre-existing cell's seed or cache key — the same stability contract
-    as :func:`repro.scenarios.orchestrate.scenario_matrix`.
+    (:func:`repro.runtime.campaign.axis_seed`), so extending an axis
+    later never changes an existing cell's seed or cache key.
     """
     if chain_length < 1:
         raise ValueError("chain_length must be >= 1")
     instances = {**SERVING_DEFAULT_INSTANCES, **(instances or {})}
     configs = []
-    for provider in providers:
-        for arrival in arrivals:
-            for rate in rates_rps:
-                for topology in topologies:
-                    cell_key = json.dumps(
-                        [
-                            int(seed),
-                            provider,
-                            instances[provider],
-                            arrival,
-                            float(rate),
-                            topology,
-                        ]
-                    )
-                    cell_seed = seed + int.from_bytes(
-                        hashlib.sha256(cell_key.encode()).digest()[:4], "big"
-                    )
-                    base = ServingConfig(
-                        provider_name=provider,
-                        instance_name=instances[provider],
-                        n_nodes=n_nodes,
-                        topology=topology,
-                        arrival=arrival,
-                        rate_rps=rate,
-                        duration_s=duration_s,
-                        users=users,
-                        payload_scale=payload_scale,
-                        slo_p99_ms=slo_p99_ms,
-                        slo_p999_ms=slo_p999_ms,
-                        slo_window_s=slo_window_s,
-                        seed=cell_seed,
-                    )
-                    configs.extend(chain_serving(base, chain_length))
+    for provider, arrival, rate, topology in itertools.product(
+        providers, arrivals, rates_rps, topologies
+    ):
+        instance = instances[provider]
+        base = ServingConfig(
+            provider_name=provider,
+            instance_name=instance,
+            n_nodes=n_nodes,
+            topology=topology,
+            arrival=arrival,
+            rate_rps=rate,
+            duration_s=duration_s,
+            users=users,
+            payload_scale=payload_scale,
+            slo_p99_ms=slo_p99_ms,
+            slo_p999_ms=slo_p999_ms,
+            slo_window_s=slo_window_s,
+            seed=axis_seed(seed, provider, instance, arrival, float(rate), topology),
+        )
+        configs.extend(chain_serving(base, chain_length))
     return configs
 
 
@@ -521,25 +452,12 @@ def run_serving_payload(
     payload: Mapping, upstream: "ServingCellResult | None" = None
 ) -> ServingCellResult:
     """Cell function: reconstruct the config and run the cell."""
-    config = ServingConfig(**payload)
-    if upstream is None:
-        return run_serving(config)
-    return run_serving(config, upstream=upstream)
-
-
-def run_serving_payloads_batched(
-    payloads: "list[Mapping]", upstreams: "list[ServingCellResult | None]"
-) -> "list[ServingCellResult]":
-    """Batch-runner hook for :class:`repro.runtime.executors.BatchExecutor`."""
-    configs = [ServingConfig(**payload) for payload in payloads]
-    return run_servings_batched(configs, upstreams)
+    return run_serving(ServingConfig(**payload), upstream=upstream)
 
 
 def serving_batch_executor(batch_size: int = 32):
     """A :class:`~repro.runtime.executors.BatchExecutor` wired for serving."""
-    from repro.runtime.executors import BatchExecutor
-
-    return BatchExecutor(run_serving_payloads_batched, batch_size=batch_size)
+    return config_batch_executor(ServingConfig, run_servings_batched, batch_size)
 
 
 def encode_serving_result(result: ServingCellResult) -> tuple[dict, dict]:
@@ -599,77 +517,15 @@ SERVING_CODEC = ArtifactCodec(
 
 def serving_cells(configs: "list[ServingConfig]") -> "list[Cell]":
     """Map serving configs to runtime cells (keyed by ``serving_id``)."""
-    return [
-        Cell(
-            fn="repro.serving.scenario:run_serving_payload",
-            payload=asdict(config),
-            key=config.serving_id,
-            after=config.predecessor,
-        )
-        for config in configs
-    ]
+    return config_cells(
+        configs,
+        "repro.serving.scenario:run_serving_payload",
+        attrgetter("serving_id"),
+    )
 
 
-class ServingCampaign:
-    """Runs a serving matrix, caching cells in a trace repository.
+class ServingCampaign(Campaign):
+    """Runs a serving matrix; see :class:`repro.runtime.campaign.Campaign`."""
 
-    The serving twin of
-    :class:`~repro.scenarios.orchestrate.ScenarioCampaign`: a thin
-    adapter over :class:`~repro.runtime.campaign.CampaignRunner` with
-    the serving codec.  Pass ``executor=serving_batch_executor()`` to
-    run independent cells through the lockstep batched driver, or use
-    :meth:`shard_manifests` with the ``repro worker`` / ``repro
-    merge`` CLI for multi-machine runs.
-    """
-
-    def __init__(
-        self,
-        configs: "list[ServingConfig]",
-        repository: TraceRepository | None = None,
-        workers: int = 1,
-        executor=None,
-    ) -> None:
-        if not configs:
-            raise ValueError("a campaign needs at least one serving cell")
-        if workers < 1:
-            raise ValueError("workers must be >= 1")
-        ids = [c.serving_id for c in configs]
-        if len(set(ids)) != len(ids):
-            raise ValueError("duplicate serving configs in the matrix")
-        self.configs = list(configs)
-        self.repository = repository
-        self.workers = workers
-        if executor is None:
-            executor = (
-                SerialExecutor()
-                if workers == 1
-                else ProcessPoolExecutor(workers)
-            )
-        self.executor = executor
-
-    @property
-    def cells(self) -> "list[Cell]":
-        return serving_cells(self.configs)
-
-    def shard_manifests(
-        self, directory: str | Path, n_shards: int
-    ) -> "list[Path]":
-        """Write per-machine shard manifests for this matrix."""
-        return write_shard_manifests(
-            self.cells,
-            n_shards=n_shards,
-            directory=directory,
-            encode_ref=SERVING_CODEC.encode_ref,
-            decode_ref=SERVING_CODEC.decode_ref,
-        )
-
-    def run(self) -> "dict[str, ServingCellResult]":
-        """Execute pending cells, reload cached ones; results by id."""
-        runner = CampaignRunner(
-            self.cells,
-            store=self.repository.artifacts if self.repository else None,
-            codec=SERVING_CODEC,
-            executor=self.executor,
-        )
-        outcome = run_wrapping_corruption(runner)
-        return dict(outcome.results)
+    codec = SERVING_CODEC
+    make_cells = staticmethod(serving_cells)

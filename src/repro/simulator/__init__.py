@@ -15,8 +15,6 @@ package models exactly that interaction:
   sharing, bounded by per-node egress shapers (any
   :class:`~repro.netmodel.base.LinkModel`) and ingress capacities;
 * :mod:`repro.simulator.cluster` — node and cluster descriptions;
-* :mod:`repro.simulator.hdfs` — a block-placement storage substrate
-  used to derive input locality;
 * :mod:`repro.simulator.tasks` — tasks, stages, and job DAGs;
 * :mod:`repro.simulator.engine` — the DAG scheduler / execution engine
   producing runtimes and per-node utilization/budget telemetry.
@@ -69,7 +67,6 @@ from repro.simulator.engine import (
     StreamResult,
 )
 from repro.simulator.fabric import Fabric, Flow
-from repro.simulator.hdfs import HdfsCluster, HdfsFile
 from repro.simulator.tasks import JobSpec, StageSpec
 
 __all__ = [
@@ -79,8 +76,6 @@ __all__ = [
     "Flow",
     "Cluster",
     "NodeSpec",
-    "HdfsCluster",
-    "HdfsFile",
     "JobSpec",
     "StageSpec",
     "SparkEngine",

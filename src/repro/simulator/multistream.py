@@ -35,16 +35,16 @@ Cells that finish early stay in the super-fleet as zero-``dt`` no-op
 links until the last cell completes; a zero-``dt`` advance provably
 leaves budgets, tiers, and clocks untouched regardless of the offered
 rates.  Constraints: every cell's fleet must be the same concrete
-class (group heterogeneous matrices first — the campaign batch
-executor does), and recorders are unsupported (attach one by running
-the cell serially).
+class (:func:`run_cells` groups heterogeneous matrices by fleet class
+first), and recorders are unsupported (attach one by running the cell
+serially).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -53,7 +53,7 @@ from repro.simulator.core import EventCore
 from repro.simulator.engine import SparkEngine, StreamResult, _StreamState
 from repro.simulator.fabric import Fabric
 
-__all__ = ["StreamTask", "run_streams", "run_cores"]
+__all__ = ["StreamTask", "stream_state", "run_streams", "run_cores", "run_cells"]
 
 
 @dataclass
@@ -68,6 +68,18 @@ class StreamTask:
     fabric: Fabric | None = field(default=None)
 
 
+def stream_state(task: StreamTask) -> _StreamState:
+    """The event core ``run_stream`` would build for ``task``, unrun."""
+    arrivals = list(task.arrivals)
+    SparkEngine.validate_stream(arrivals, task.scheduler)
+    fabric = task.fabric
+    if fabric is None:
+        fabric = task.engine.cluster.build_fabric()
+    return _StreamState(
+        task.engine, arrivals, fabric, scheduler=task.scheduler, recorder=None
+    )
+
+
 def run_streams(tasks: Sequence[StreamTask]) -> list[StreamResult]:
     """Run every task's stream, batched; results match serial order.
 
@@ -77,29 +89,10 @@ def run_streams(tasks: Sequence[StreamTask]) -> list[StreamResult]:
     concatenated super-fleet.
 
     Raises ValueError when the tasks' fleets are not all the same
-    concrete class; callers with mixed matrices should group by fleet
-    class (see ``repro.runtime.executors.BatchExecutor``).
+    concrete class; callers with mixed matrices should use
+    :func:`run_cells`, which groups by fleet class.
     """
-    tasks = list(tasks)
-    if not tasks:
-        return []
-    states: list[_StreamState] = []
-    for task in tasks:
-        arrivals = list(task.arrivals)
-        SparkEngine.validate_stream(arrivals, task.scheduler)
-        fabric = task.fabric
-        if fabric is None:
-            fabric = task.engine.cluster.build_fabric()
-        states.append(
-            _StreamState(
-                task.engine,
-                arrivals,
-                fabric,
-                scheduler=task.scheduler,
-                recorder=None,
-            )
-        )
-    return run_cores(states)
+    return run_cores([stream_state(task) for task in tasks])
 
 
 def run_cores(states: "Sequence[EventCore]") -> list:
@@ -209,3 +202,34 @@ def run_cores(states: "Sequence[EventCore]") -> list:
         # (warm-state carry-out) allocate their own egress buffers.
         state.fabric._egress_out = None
     return [state.finish() for state in states]
+
+
+def run_cells(
+    configs: Sequence, upstreams: Sequence | None, prepare: Callable, finish: Callable
+) -> list:
+    """Prepare campaign cells, run them batched, finish them; in order.
+
+    ``prepare(config, upstream=...)`` builds a cell with a ``fabric``
+    and a ``state``, its unrun :class:`~repro.simulator.core.EventCore`;
+    ``finish(prepared, outcome)`` makes the cell's result.  Cells are
+    grouped by fleet class, as the super-fleet requires, and each group
+    is one :func:`run_cores` call; the cells are independent, so each
+    result is bit-identical to the cell's serial run.
+    """
+    if upstreams is None:
+        upstreams = [None] * len(configs)
+    if len(upstreams) != len(configs):
+        raise ValueError("one upstream entry (or None) per config required")
+    prepared = [
+        prepare(config, upstream=upstream)
+        for config, upstream in zip(configs, upstreams)
+    ]
+    groups: dict[type, list[int]] = {}
+    for index, prep in enumerate(prepared):
+        groups.setdefault(type(prep.fabric.fleet), []).append(index)
+    results: list = [None] * len(prepared)
+    for indices in groups.values():
+        outcomes = run_cores([prepared[i].state for i in indices])
+        for i, outcome in zip(indices, outcomes):
+            results[i] = finish(prepared[i], outcome)
+    return results

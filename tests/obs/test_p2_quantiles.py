@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.obs.quantiles import P2Quantile, WindowedQuantiles, quantile_key
@@ -64,18 +64,23 @@ class TestP2Quantile:
         n=st.integers(min_value=200, max_value=2000),
         p=st.sampled_from([0.25, 0.5, 0.9, 0.99]),
     )
+    # Missed a fixed 0.05 tolerance by 0.0011 (2.4 standard errors).
+    @example(seed=2405186, n=200, p=0.9)
     def test_estimate_tracks_numpy_for_iid_streams(self, seed, n, p):
         # The P² estimate of an iid uniform stream must sit close to the
-        # exact empirical quantile — within a few percent of the value
-        # range for interior quantiles, looser near the tail where the
-        # marker density is thin.
+        # exact empirical quantile, within a multiple of the sample
+        # quantile's standard error sqrt(p(1-p)/n) (the density of
+        # U(0,1) is 1), so the bound tightens as n grows.  Over sweeps
+        # of 1500 to 20000 seeds per (n, p), n from 200 to 2000, the
+        # error stayed under 3.5 standard errors for p <= 0.9 and under
+        # 6 at p = 0.99, where the markers are thin.
         rng = np.random.default_rng(seed)
         data = rng.uniform(0.0, 1.0, size=n)
         est = P2Quantile(p)
         for v in data:
             est.add(v)
         exact = float(np.percentile(data, p * 100.0))
-        tolerance = 0.05 if p <= 0.9 else 0.15
+        tolerance = (5.0 if p <= 0.9 else 10.0) * math.sqrt(p * (1.0 - p) / n)
         assert abs(est.value() - exact) <= tolerance
         # The estimate is always inside the observed range.
         assert data.min() <= est.value() <= data.max()

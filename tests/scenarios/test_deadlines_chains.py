@@ -1,5 +1,7 @@
 """Scenario-layer tests for deadline synthesis and warm-fabric chains."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -13,8 +15,34 @@ from repro.scenarios import (
     synthesize_deadlines,
 )
 from repro.scenarios.generate import job_stream, poisson_arrivals
+from repro.serving import ServingConfig, chain_serving, run_serving
 
 FAST = dict(n_nodes=4, n_jobs=3, data_scale=0.05)
+
+#: Per cell kind: a chain head, its runner and chain builder, and a
+#: provider the head did not run.
+CHAIN_KINDS = {
+    "dag": (
+        ScenarioConfig(seed=5, **FAST),
+        run_scenario,
+        chain_scenarios,
+        dict(provider_name="google", instance_name="gce-4core"),
+    ),
+    "serving": (
+        ServingConfig(
+            provider_name="hpccloud",
+            instance_name="hpccloud-8core",
+            n_nodes=4,
+            rate_rps=10.0,
+            duration_s=10.0,
+            slo_window_s=5.0,
+            seed=11,
+        ),
+        run_serving,
+        chain_serving,
+        dict(provider_name="fixed", instance_name="fixed-9gbps"),
+    ),
+}
 
 
 class TestDeadlineSynthesis:
@@ -179,44 +207,6 @@ class TestWarmFabricChains:
             s["params"] for s in upstream.fabric_state
         ]
 
-    def test_chained_cell_requires_upstream(self):
-        head, tail = chain_scenarios(ScenarioConfig(seed=5, **FAST), 2)
-        with pytest.raises(ValueError, match="upstream"):
-            run_scenario(tail)
-        bad = run_scenario(head)
-        bad.fabric_state = None
-        with pytest.raises(ValueError, match="fabric"):
-            run_scenario(tail, upstream=bad)
-
-    def test_node_count_mismatch_rejected(self):
-        head = ScenarioConfig(seed=5, **FAST)
-        upstream = run_scenario(head)
-        from dataclasses import replace
-
-        tail = replace(
-            head, n_nodes=6, seed=6, predecessor=head.scenario_id
-        )
-        with pytest.raises(ValueError, match="nodes"):
-            run_scenario(tail, upstream=upstream)
-
-    def test_provider_mismatch_rejected(self):
-        # A chained cell labeled for another provider must not silently
-        # run on the predecessor's incarnations (mislabeled rows would
-        # also poison the cache under the wrong scenario_id).
-        head = ScenarioConfig(seed=5, **FAST)
-        upstream = run_scenario(head)
-        from dataclasses import replace
-
-        tail = replace(
-            head,
-            provider_name="google",
-            instance_name="gce-4core",
-            seed=6,
-            predecessor=head.scenario_id,
-        )
-        with pytest.raises(ValueError, match="provider incarnation"):
-            run_scenario(tail, upstream=upstream)
-
     def test_chain_is_deterministic(self):
         head, tail = chain_scenarios(
             ScenarioConfig(seed=5, scheduler="srpt", **FAST), 2
@@ -225,3 +215,35 @@ class TestWarmFabricChains:
         r2 = run_scenario(tail, upstream=run_scenario(head))
         assert np.array_equal(r1.runtimes, r2.runtimes)
         assert r1.fabric_state == r2.fabric_state
+
+
+@pytest.fixture(scope="module", params=sorted(CHAIN_KINDS))
+def chained_kind(request):
+    """A chain's tail, its head's result, the runner, another provider."""
+    head, run, chain, other = CHAIN_KINDS[request.param]
+    _, tail = chain(head, 2)
+    return tail, run(head), run, other
+
+
+class TestChainedCellValidation:
+    """The warm-fabric predecessor checks, for both cell kinds."""
+
+    def test_requires_upstream(self, chained_kind):
+        tail, upstream, run, _ = chained_kind
+        with pytest.raises(ValueError, match="no upstream"):
+            run(tail)
+        with pytest.raises(ValueError, match="fabric"):
+            run(tail, upstream=replace(upstream, fabric_state=None))
+
+    def test_node_count_mismatch_rejected(self, chained_kind):
+        tail, upstream, run, _ = chained_kind
+        with pytest.raises(ValueError, match="nodes"):
+            run(replace(tail, n_nodes=6), upstream=upstream)
+
+    def test_provider_mismatch_rejected(self, chained_kind):
+        # A chained cell labeled for another provider must not silently
+        # run on the predecessor's incarnations (mislabeled rows would
+        # also poison the cache under the wrong id).
+        tail, upstream, run, other = chained_kind
+        with pytest.raises(ValueError, match="provider incarnation"):
+            run(replace(tail, **other), upstream=upstream)
