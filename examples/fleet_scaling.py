@@ -18,7 +18,7 @@ collapse with N while the fleet column barely moves.
 Run with:  python examples/fleet_scaling.py
 """
 
-from repro.bench.hotpath import _run_shaper_sweep
+from repro.bench.hotpath import _oscillating_buckets, _run_fleet_sweep
 
 DURATION_S = 600.0
 MAX_STEP_S = 0.1
@@ -31,11 +31,12 @@ def main() -> None:
         f"{'speedup':>8s}"
     )
     for n_nodes in (16, 32, 64, 128, 256):
-        fleet = _run_shaper_sweep(
-            n_nodes, DURATION_S, MAX_STEP_S, scalar_fleet=False
-        )
-        scalar = _run_shaper_sweep(
-            n_nodes, DURATION_S, MAX_STEP_S, scalar_fleet=True
+        fleet, scalar = (
+            _run_fleet_sweep(
+                _oscillating_buckets(n_nodes), DURATION_S, MAX_STEP_S,
+                scalar_fleet, state="budgets",
+            )
+            for scalar_fleet in (False, True)
         )
         # Bit-exact by construction: both paths must walk the same
         # trajectory, or the speedup is between different simulations.

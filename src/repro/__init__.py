@@ -87,19 +87,20 @@ the layer below by the golden trace and ``repro bench --check``:
    bit-identically for every flow count, and CI runs the whole tier-1
    and bench suites on both legs.
 3. **Batched multi-stream execution.**
-   :func:`repro.simulator.multistream.run_streams` stitches many
+   :func:`repro.simulator.multistream.run_cores` stitches many
    independent cells' fleets into one concatenated super-fleet and
-   advances all cells per lockstep round with a single ``horizons`` /
-   ``advance`` call pair, ``advance`` taking one ``dt`` per link — the
-   SoA trick applied across cells —
-   which amortizes per-cell numpy dispatch and makes million-cell
-   campaign matrices cheap.  The campaign runtime exposes it as an
-   opt-in batch executor; per-cell results are byte-identical to
-   serial ``run_stream`` calls.
+   advances all cells' event cores (DAG streams or serving) per
+   lockstep round with a single ``horizons`` / ``advance`` call pair,
+   ``advance`` taking one ``dt`` per link — the SoA trick applied
+   across cells — which amortizes per-cell numpy dispatch and makes
+   million-cell campaign matrices cheap.  The campaign runtime exposes
+   it as an opt-in batch executor; per-cell results are byte-identical
+   to serial runs.
 
-``BENCH_engine.json`` records the measured trajectory
-(``python -m repro bench``); ``--profile`` archives per-case cProfile
-tables to a store for regression forensics.
+Performance is measured by ``perfbench/`` (repeated fresh-process
+passes, calibrated host times, per-layer traces).
+``python -m repro bench --check`` is CI's checksum and wall-time gate
+against the ``smoke`` section of ``BENCH_engine.json``.
 
 Quickstart::
 

@@ -1,44 +1,36 @@
-"""Hot-path benchmark suite and its results ledger.
+"""The ``repro bench`` wall-time and checksum gate.
 
-The ROADMAP's north star is "as fast as the hardware allows", which is
-only meaningful against a recorded trajectory.  This package defines
-the canonical hot-path benchmarks (a 16-node/200-job multi-tenant
-stream, a 10k-flow water-filling microbench, 64-node shaper and
-per-core-QoS fleet sweeps that time the vectorized and scalar-adapter
-paths against each other, a ``multistream_32cell`` case that races the
-batched multi-stream runner against serial per-cell execution, and a
-``campaign_overhead`` case that times the :mod:`repro.runtime`
-orchestration layer per cached cell), runs them with :func:`run_suite`,
-and records results in ``BENCH_engine.json`` at the repository root so
-every PR can compare itself against the pinned pre-refactor baseline.
+Nine CI-sized hot-path cases (multi-tenant streams under the fair and
+preempting schedulers, a water-filling microbench, shaper and per-core
+QoS fleet-vs-scalar sweeps, batched vs serial multi-stream cells, a
+cached campaign, the stream under a full observability recorder, and
+an open-loop serving cell) run once each.  ``python -m repro bench
+--check`` exits non-zero when any case's workload params or checksum
+differ from the ``smoke`` section of ``BENCH_engine.json``, when the
+run and the reference name different cases, or when a wall time
+exceeds ``--wall-tolerance`` times the recorded one.
+``--save-smoke`` re-records that section.
 
-``python -m repro bench --check`` re-runs the suite and exits non-zero
-when any case's checksum drifts from the ledger or its wall time
-regresses beyond a tolerance — the regression gate CI runs (against
-the ``smoke`` reference section recorded with ``--save-smoke``).
-Comparisons refuse rows whose workload params differ from the
-recorded reference; ``--profile`` archives per-case cProfile tables.
-
-Run it via ``python -m repro bench`` or
-``python benchmarks/bench_engine_hotpath.py``.
+The repository's benchmark is ``perfbench/`` (repeated fresh-process
+passes, calibrated host times, per-layer traces); this gate stays only
+because it is CI's wall-time check on both jit legs.  See
+:mod:`repro.bench.hotpath` for the cases and the tier-1 tests that pin
+them.
 """
 
 from repro.bench.hotpath import (
     DEFAULT_RESULTS_PATH,
     bench_campaign_overhead,
+    bench_fleet_vs_scalar,
     bench_multistream,
     bench_obs_overhead,
-    bench_percore_fleet_vs_scalar,
-    bench_shaper_fleet_vs_scalar,
+    bench_serving_openloop,
     bench_stream,
     bench_waterfill,
     check_results,
-    format_table,
     load_results,
-    record_profiles,
-    record_provenance,
-    record_results,
-    run_and_record,
+    record_smoke,
+    run_bench,
     run_check,
     run_suite,
     workload_params,
@@ -48,19 +40,16 @@ __all__ = [
     "DEFAULT_RESULTS_PATH",
     "bench_stream",
     "bench_campaign_overhead",
+    "bench_fleet_vs_scalar",
     "bench_multistream",
     "bench_obs_overhead",
-    "bench_percore_fleet_vs_scalar",
-    "bench_shaper_fleet_vs_scalar",
+    "bench_serving_openloop",
     "bench_waterfill",
-    "record_provenance",
-    "record_profiles",
     "run_suite",
-    "run_and_record",
+    "run_bench",
     "run_check",
     "check_results",
     "load_results",
-    "record_results",
-    "format_table",
+    "record_smoke",
     "workload_params",
 ]

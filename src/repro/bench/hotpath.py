@@ -1,49 +1,55 @@
-"""The canonical simulator hot-path benchmarks.
+"""The simulator hot-path cases behind the ``repro bench --check`` gate.
 
-Two workloads bracket the fluid-fabric core:
+Nine cases bracket the fluid-fabric core, each at one CI-sized
+workload (the case names are the ledger's, kept from when they ran
+larger):
 
-* ``stream_16x200`` — a 16-node, 200-job multi-tenant Poisson stream
-  under the fair scheduler with token-bucket shapers: the shape every
-  :class:`~repro.scenarios.orchestrate.ScenarioCampaign` cell and
-  Figure-19 carry-over study reduces to.  Tens of thousands of event
-  steps exercise water-filling, horizons, shaper advances, scheduling,
-  and telemetry together.
-* ``stream_fair_preempt`` — the same stream shape under the
-  checkpoint-preempting fair scheduler, so the preemption machinery's
-  overhead (group tracking, flow withdrawal, heap cancellation) is
-  tracked next to plain fair in the ledger.
-* ``waterfill_10k`` — 10,000 simultaneous flows across 64 nodes,
-  timing :meth:`~repro.simulator.fabric.Fabric.compute_rates` alone:
-  the max-min allocation kernel in isolation.
-* ``obs_overhead`` — the stream workload bare vs. under a full
-  :class:`~repro.obs.recorder.ObsRecorder`, proving checksum equality
-  with observability attached and tracking what full metrics + span
-  tracing costs (the recorder-off wall time gates the disabled path).
+* ``stream_16x200`` — a 16-node multi-tenant Poisson stream under the
+  fair scheduler with token-bucket shapers: water-filling, horizons,
+  shaper advances, scheduling and telemetry together.
+* ``stream_fair_preempt`` — the same stream under the
+  checkpoint-preempting fair scheduler.
+* ``waterfill_10k`` — 1,000 simultaneous flows across 64 nodes,
+  timing :meth:`~repro.simulator.fabric.Fabric.compute_rates` alone.
+* ``shaper_64_tb`` / ``percore_64`` — 64-node sweeps through
+  tier-oscillating token buckets and per-core QoS links, each run
+  through the vectorized fleet and the scalar-adapter loop, which must
+  agree bit for bit.
+* ``multistream_32cell`` — the batched multi-stream runner raced
+  against serial per-cell runs, which must agree bit for bit.
+* ``campaign_overhead`` — a fully cached scenario campaign: pure
+  orchestration per cell.
+* ``obs_overhead`` — the stream bare vs under a full
+  :class:`~repro.obs.recorder.ObsRecorder`, which must not move the
+  checksum.
 * ``serving_openloop`` — a three-tier serving cell under flash-crowd
-  open-loop load on resampling hpccloud incarnations: the request
-  layer's event schedule (timer pops, per-hop request/response flows)
-  priced next to the batch schedules above.
+  open-loop load.
 
-Each benchmark returns a ``checksum`` derived from simulation output
-(total runtime seconds / total allocated Gbps) so a recorded speedup
-can be trusted: if the checksum drifts, the comparison is between
-different computations and the numbers are void.
+Each case returns a ``checksum`` derived from simulation output, so a
+wall time is only compared between identical computations.
+:func:`run_check` gates a fresh run against the ``smoke`` section of
+``BENCH_engine.json``; that file's ``baseline``/``current`` rows are
+frozen history that no code writes.
 
-Results live in ``BENCH_engine.json``: a pinned ``baseline`` section
-(captured once, on the pre-refactor engine) plus a ``current`` section
-refreshed by every run, with per-benchmark speedups derived from the
-two.  :func:`record_results` never overwrites the baseline unless
-explicitly asked.
+Tier-1 pins the literal outputs of the five cheap cases
+(``tests/test_bench.py``).  The four stream-sized cases are too slow
+for tier-1; these tests pin their code paths instead:
+
+* ``stream_16x200`` and ``obs_overhead`` — the golden trace
+  (``tests/simulator/test_golden_trace.py``), with its scalar-adapter
+  and recorder-attached legs;
+* ``stream_fair_preempt`` —
+  ``tests/simulator/test_schedulers.py::TestPreemptiveFair::test_preempt_deterministic``;
+* ``multistream_32cell`` — the serial == batched suite in
+  ``tests/simulator/test_multistream.py``.
 """
 
 from __future__ import annotations
 
-import cProfile
 import gc
 import json
 import math
-import platform
-import pstats
+import sys
 import tempfile
 import time
 from pathlib import Path
@@ -58,7 +64,6 @@ from repro.netmodel import (
     TokenBucketParams,
 )
 from repro.netmodel.percore import PerCoreQosModel
-from repro.runtime.store import ArtifactStore
 from repro.scenarios.generate import job_stream, poisson_arrivals
 from repro.simulator import Cluster, Fabric, NodeSpec, SparkEngine
 
@@ -66,21 +71,17 @@ __all__ = [
     "DEFAULT_RESULTS_PATH",
     "bench_stream",
     "bench_campaign_overhead",
+    "bench_fleet_vs_scalar",
     "bench_multistream",
     "bench_obs_overhead",
-    "bench_percore_fleet_vs_scalar",
     "bench_serving_openloop",
-    "bench_shaper_fleet_vs_scalar",
     "bench_waterfill",
-    "record_provenance",
-    "record_profiles",
     "run_suite",
-    "run_and_record",
+    "run_bench",
     "run_check",
     "check_results",
     "load_results",
-    "record_results",
-    "format_table",
+    "record_smoke",
     "workload_params",
 ]
 
@@ -103,22 +104,14 @@ _STREAM_BUCKET = TokenBucketParams(
 def bench_stream(
     n_nodes: int = 16,
     slots: int = 4,
-    n_jobs: int = 200,
+    n_jobs: int = 20,
     rate_per_min: float = 6.0,
     data_scale: float = 0.3,
     seed: int = 1234,
     scheduler: str = "fair",
-    scalar_fleet: bool = False,
     recorder=None,
 ) -> dict:
     """Time one multi-tenant stream execution end to end.
-
-    ``scalar_fleet`` forces the per-model
-    :class:`~repro.netmodel.fleet.ScalarFleetAdapter` loop instead of
-    the vectorized :class:`~repro.netmodel.fleet.TokenBucketFleet` the
-    homogeneous shaper list would normally get — the two paths are
-    bit-exact, so their checksums must agree and the wall-clock delta
-    is pure shaper-fleet speedup.
 
     ``recorder`` attaches an :class:`~repro.obs.recorder.ObsRecorder`
     to the run; the recorder only reads simulation state, so the
@@ -130,24 +123,13 @@ def bench_stream(
         node_spec=NodeSpec(slots=slots),
         link_model_factory=lambda node: TokenBucketModel(_STREAM_BUCKET),
     )
-    fabric = None
-    if scalar_fleet:
-        # The factory draws nothing from the RNG, so pre-building the
-        # fabric leaves the simulation stream identical.
-        models = [TokenBucketModel(_STREAM_BUCKET) for _ in range(n_nodes)]
-        fabric = Fabric(
-            ScalarFleetAdapter(models),
-            [cluster.node_spec.ingress_gbps] * n_nodes,
-        )
     times = poisson_arrivals(rng, rate_per_min=rate_per_min, n_jobs=n_jobs)
     stream = job_stream(
         rng, times, n_nodes=n_nodes, slots=slots, data_scale=data_scale
     )
     engine = SparkEngine(cluster, rng=rng)
     start = time.perf_counter()
-    result = engine.run_stream(
-        stream, scheduler=scheduler, fabric=fabric, recorder=recorder
-    )
+    result = engine.run_stream(stream, scheduler=scheduler, recorder=recorder)
     wall_s = time.perf_counter() - start
     return {
         "wall_s": round(wall_s, 4),
@@ -173,18 +155,12 @@ _OSC_BUCKET = dict(
 )
 
 
-def _run_shaper_sweep(
-    n_nodes: int, duration_s: float, max_step_s: float, scalar_fleet: bool
-) -> dict:
-    """Integrate never-completing pair flows through oscillating buckets.
+def _oscillating_buckets(n_nodes: int) -> list[TokenBucketModel]:
+    """Token buckets whose sender budgets start in two phase groups.
 
-    One flow per group of 8 nodes keeps the water-filling trivial, so
-    the per-step cost is the shaper layer itself: every one of the
-    ``n_nodes`` buckets must be gathered, horizon-bounded, and advanced
-    each step — the O(N) scalar loop the fleets replace.  Sender
-    budgets are staggered in two phase groups whose members sit a float
-    residue apart (the near-tie fragmentation pattern event-horizon
-    coalescing absorbs).
+    Members of a group sit a float residue apart (the near-tie
+    fragmentation pattern event-horizon coalescing absorbs); every
+    other node idles at a full bucket.
     """
     models = []
     n_senders = 0
@@ -196,93 +172,41 @@ def _run_shaper_sweep(
             start = None  # full bucket, idles at capacity
         params = TokenBucketParams(**_OSC_BUCKET, initial_budget_gbit=start)
         models.append(TokenBucketModel(params))
-    egress = ScalarFleetAdapter(models) if scalar_fleet else models
-    fabric = Fabric(egress, [10.0] * n_nodes)
-    for i in range(0, n_nodes - 1, 8):
-        fabric.add_flow(i, i + 1, 1e15)
-    t = 0.0
-    steps = 0
-    start_t = time.perf_counter()
-    while t < duration_s:
-        fabric.compute_rates()
-        remaining = duration_s - t
-        dt = min(fabric.horizon(), max_step_s, remaining)
-        if dt <= 0.0:
-            dt = min(1e-6, remaining)
-        fabric.advance(dt)
-        t += dt
-        steps += 1
-    wall_s = time.perf_counter() - start_t
-    budgets = fabric.fleet.budgets()
-    assert budgets is not None
-    checksum = round(
-        float(np.sum(fabric.node_egress_rates()) + np.sum(budgets)), 6
-    )
-    return {"wall_s": round(wall_s, 4), "n_steps": steps, "checksum": checksum}
+    return models
 
 
-def bench_shaper_fleet_vs_scalar(
-    n_nodes: int = 64,
-    duration_s: float = 3000.0,
-    max_step_s: float = 0.1,
-) -> dict:
-    """The shaper-heavy case: fleet vs scalar-adapter on pure shaping.
+def _staggered_percore(n_nodes: int) -> list[PerCoreQosModel]:
+    """GCE per-core QoS links with staggered resample intervals.
 
-    A 64-node ring of never-completing flows driven through
-    tier-oscillating token buckets: every step's cost is the shaper
-    layer (limit gathering, horizon bounding, advance accounting), the
-    workload PR 3's fleets vectorize.  The identical sweep runs through
-    the vectorized :class:`~repro.netmodel.fleet.TokenBucketFleet` and
-    the per-model :class:`~repro.netmodel.fleet.ScalarFleetAdapter`;
-    matching checksums prove the paths compute the same trajectory and
-    ``fleet_speedup`` is the pure fleet win.
+    The staggering desynchronizes the efficiency redraws, so every
+    event step is small and its cost is the QoS layer itself.
     """
-    fleet_run = _run_shaper_sweep(
-        n_nodes, duration_s, max_step_s, scalar_fleet=False
-    )
-    scalar_run = _run_shaper_sweep(
-        n_nodes, duration_s, max_step_s, scalar_fleet=True
-    )
-    if scalar_run["checksum"] != fleet_run["checksum"]:
-        raise AssertionError(
-            "fleet and scalar-adapter paths diverged: "
-            f"{fleet_run['checksum']} != {scalar_run['checksum']}"
-        )
-    if scalar_run["n_steps"] != fleet_run["n_steps"]:
-        raise AssertionError(
-            "fleet and scalar-adapter paths stepped differently: "
-            f"{fleet_run['n_steps']} != {scalar_run['n_steps']}"
-        )
-    row = dict(fleet_run)
-    row["n_nodes"] = n_nodes
-    row["duration_s"] = duration_s
-    row["scalar_wall_s"] = scalar_run["wall_s"]
-    row["fleet_speedup"] = (
-        round(scalar_run["wall_s"] / fleet_run["wall_s"], 2)
-        if fleet_run["wall_s"] > 0
-        else float("inf")
-    )
-    return row
-
-
-def _run_percore_sweep(
-    n_nodes: int, duration_s: float, max_step_s: float, scalar_fleet: bool
-) -> dict:
-    """Integrate never-completing pair flows through GCE QoS links.
-
-    The per-core QoS models redraw their efficiency on a per-node
-    resample clock; staggering the intervals desynchronizes the
-    crossings so every event step is small and the per-step cost is the
-    QoS layer itself (limit gathering, interval-crossing bookkeeping,
-    quantile redraws) — the loop :class:`PerCoreQosFleet` vectorizes.
-    One flow per group of 8 nodes keeps the water-filling trivial.
-    """
-    models = [
+    return [
         PerCoreQosModel(
             cores=4, interval_s=2.0 + 0.13 * (i % 8), seed=1000 + i
         )
         for i in range(n_nodes)
     ]
+
+
+def _run_fleet_sweep(
+    models: list,
+    duration_s: float,
+    max_step_s: float,
+    scalar_fleet: bool,
+    state: str,
+) -> dict:
+    """Integrate never-completing pair flows through ``models``.
+
+    One flow per group of 8 nodes keeps the water-filling trivial, so
+    the per-step cost is the link-model layer: every model must be
+    gathered, horizon-bounded and advanced each step, the O(N) scalar
+    loop the fleets replace.  ``scalar_fleet`` forces that loop through
+    :class:`~repro.netmodel.fleet.ScalarFleetAdapter`.  The checksum
+    adds the fleet's ``state`` (``"budgets"`` or ``"limits"``) to the
+    final egress rates.
+    """
+    n_nodes = len(models)
     egress = ScalarFleetAdapter(models) if scalar_fleet else models
     fabric = Fabric(egress, [10.0] * n_nodes)
     for i in range(0, n_nodes - 1, 8):
@@ -300,36 +224,32 @@ def _run_percore_sweep(
         t += dt
         steps += 1
     wall_s = time.perf_counter() - start_t
+    fleet_state = getattr(fabric.fleet, state)()
+    assert fleet_state is not None
     checksum = round(
-        float(
-            np.sum(fabric.node_egress_rates()) + np.sum(fabric.fleet.limits())
-        ),
-        6,
+        float(np.sum(fabric.node_egress_rates()) + np.sum(fleet_state)), 6
     )
     return {"wall_s": round(wall_s, 4), "n_steps": steps, "checksum": checksum}
 
 
-def bench_percore_fleet_vs_scalar(
+def bench_fleet_vs_scalar(
+    build_models: Callable[[int], list],
+    state: str,
+    max_step_s: float,
     n_nodes: int = 64,
-    duration_s: float = 3000.0,
-    max_step_s: float = 0.5,
+    duration_s: float = 300.0,
 ) -> dict:
-    """The GCE QoS case: PerCoreQosFleet vs scalar-adapter sweeps.
+    """One fleet sweep through the vectorized fleet and the scalar loop.
 
-    64 per-core QoS links with staggered resample intervals drive a
-    dense event-step schedule whose cost is the QoS model layer.  The
-    identical sweep runs through the vectorized
-    :class:`~repro.netmodel.fleet.PerCoreQosFleet` and the per-model
-    :class:`~repro.netmodel.fleet.ScalarFleetAdapter`; matching
-    checksums prove the two paths draw the same efficiency sequences
-    (per-node RNG streams are fleet-independent by construction) and
-    ``fleet_speedup`` is the pure vectorization win.
+    The two paths are bit-exact by construction (per-node RNG streams
+    are fleet-independent), so a checksum or step-count mismatch fails
+    the case and ``fleet_speedup`` is the pure vectorization win.
     """
-    fleet_run = _run_percore_sweep(
-        n_nodes, duration_s, max_step_s, scalar_fleet=False
-    )
-    scalar_run = _run_percore_sweep(
-        n_nodes, duration_s, max_step_s, scalar_fleet=True
+    fleet_run, scalar_run = (
+        _run_fleet_sweep(
+            build_models(n_nodes), duration_s, max_step_s, scalar_fleet, state
+        )
+        for scalar_fleet in (False, True)
     )
     if scalar_run["checksum"] != fleet_run["checksum"]:
         raise AssertionError(
@@ -367,7 +287,7 @@ _MS_BUCKET = TokenBucketParams(
 
 
 def bench_multistream(
-    n_cells: int = 32,
+    n_cells: int = 8,
     n_nodes: int = 2,
     n_jobs: int = 2,
     data_scale: float = 20.0,
@@ -478,9 +398,9 @@ def bench_multistream(
 
 
 def bench_waterfill(
-    n_flows: int = 10_000,
+    n_flows: int = 1_000,
     n_nodes: int = 64,
-    rounds: int = 5,
+    rounds: int = 2,
     seed: int = 99,
 ) -> dict:
     """Time the max-min water-filling kernel on a dense flow set."""
@@ -509,7 +429,7 @@ def bench_waterfill(
     }
 
 
-def bench_campaign_overhead(n_cells: int = 32, seed: int = 4321) -> dict:
+def bench_campaign_overhead(n_cells: int = 8, seed: int = 4321) -> dict:
     """Time the runtime orchestration layer itself, per cached cell.
 
     A store is populated with ``n_cells`` deliberately tiny scenario
@@ -555,7 +475,7 @@ def bench_campaign_overhead(n_cells: int = 32, seed: int = 4321) -> dict:
     }
 
 
-def bench_obs_overhead(n_jobs: int = 200, seed: int = 1234) -> dict:
+def bench_obs_overhead(n_jobs: int = 20, seed: int = 1234) -> dict:
     """Price full observability against the recorder-off hot path.
 
     Runs the ``stream_16x200`` workload twice — once bare, once with a
@@ -604,16 +524,16 @@ def bench_obs_overhead(n_jobs: int = 200, seed: int = 1234) -> dict:
 
 
 def bench_serving_openloop(
-    n_nodes: int = 8,
-    rate_rps: float = 60.0,
-    duration_s: float = 120.0,
+    n_nodes: int = 4,
+    rate_rps: float = 40.0,
+    duration_s: float = 30.0,
     seed: int = 1234,
 ) -> dict:
     """Time one open-loop serving cell end to end.
 
     The request-layer counterpart of ``stream_16x200``: a three-tier
     call tree on resampling hpccloud incarnations under a flash-crowd
-    arrival process, so the ledger tracks what the event core costs
+    arrival process, so the gate tracks what the event core costs
     when its schedule is timer-heap pops and per-hop request flows
     instead of stage barriers.  The checksum sums every completed
     request's latency — it covers arrival draws, placement, compute
@@ -648,160 +568,33 @@ def bench_serving_openloop(
     }
 
 
-def _suite_cases(
-    smoke: bool, seeded: dict[str, int]
-) -> dict[str, Callable[[], dict]]:
-    """The case registry: name -> thunk, sized for CI or the ledger."""
-    if smoke:
-        return {
-            "stream_16x200": lambda: bench_stream(n_jobs=20, **seeded),
-            "stream_fair_preempt": lambda: bench_stream(
-                n_jobs=20, scheduler="preempt", **seeded
-            ),
-            "waterfill_10k": lambda: bench_waterfill(
-                n_flows=1_000, rounds=2, **seeded
-            ),
-            "shaper_64_tb": lambda: bench_shaper_fleet_vs_scalar(
-                duration_s=300.0
-            ),
-            "percore_64": lambda: bench_percore_fleet_vs_scalar(
-                duration_s=300.0
-            ),
-            "multistream_32cell": lambda: bench_multistream(
-                n_cells=8, **seeded
-            ),
-            "campaign_overhead": lambda: bench_campaign_overhead(
-                n_cells=8, **seeded
-            ),
-            "obs_overhead": lambda: bench_obs_overhead(n_jobs=20, **seeded),
-            "serving_openloop": lambda: bench_serving_openloop(
-                n_nodes=4, rate_rps=40.0, duration_s=30.0, **seeded
-            ),
-        }
-    return {
-        "stream_16x200": lambda: bench_stream(**seeded),
-        "stream_fair_preempt": lambda: bench_stream(
-            scheduler="preempt", **seeded
-        ),
-        "waterfill_10k": lambda: bench_waterfill(**seeded),
-        "shaper_64_tb": lambda: bench_shaper_fleet_vs_scalar(),
-        "percore_64": lambda: bench_percore_fleet_vs_scalar(),
-        "multistream_32cell": lambda: bench_multistream(**seeded),
-        "campaign_overhead": lambda: bench_campaign_overhead(**seeded),
-        "obs_overhead": lambda: bench_obs_overhead(**seeded),
-        "serving_openloop": lambda: bench_serving_openloop(**seeded),
-    }
+#: The case registry, in run order.  Every case runs at its functions'
+#: default workload, the size the ``smoke`` reference was recorded at.
+_CASES: dict[str, Callable[[], dict]] = {
+    "stream_16x200": bench_stream,
+    "stream_fair_preempt": lambda: bench_stream(scheduler="preempt"),
+    "waterfill_10k": bench_waterfill,
+    "shaper_64_tb": lambda: bench_fleet_vs_scalar(
+        _oscillating_buckets, "budgets", max_step_s=0.1
+    ),
+    "percore_64": lambda: bench_fleet_vs_scalar(
+        _staggered_percore, "limits", max_step_s=0.5
+    ),
+    "multistream_32cell": bench_multistream,
+    "campaign_overhead": bench_campaign_overhead,
+    "obs_overhead": bench_obs_overhead,
+    "serving_openloop": bench_serving_openloop,
+}
 
 
-def _top_functions(prof: cProfile.Profile, limit: int = 20) -> list[dict]:
-    """Flatten a profile into its top ``limit`` functions by cumtime."""
-    stats = pstats.Stats(prof)
-    stats.sort_stats("cumulative")
-    rows: list[dict] = []
-    for func in stats.fcn_list[:limit]:  # type: ignore[attr-defined]
-        cc, nc, tt, ct, _callers = stats.stats[func]  # type: ignore[attr-defined]
-        filename, lineno, name = func
-        rows.append(
-            {
-                "function": f"{filename}:{lineno}({name})",
-                "ncalls": int(nc),
-                "tottime_s": round(tt, 4),
-                "cumtime_s": round(ct, 4),
-            }
-        )
-    return rows
+def run_suite() -> dict[str, dict]:
+    """Run every case once, serially, in registry order."""
+    return {name: case() for name, case in _CASES.items()}
 
 
-def run_suite(
-    smoke: bool = False,
-    seed: int | None = None,
-    profiles: dict[str, list] | None = None,
-) -> dict[str, dict]:
-    """Run every hot-path benchmark; ``smoke`` shrinks them for CI.
-
-    ``seed`` overrides each case's pinned workload seed (the fleet
-    sweeps are seed-pinned internally).  Overridden runs produce
-    checksums that cannot be compared against the ledger, so callers
-    must not record or gate them — the CLI refuses the combination.
-
-    Passing a ``profiles`` dict runs each case under :mod:`cProfile`
-    and fills it with the top-20 functions by cumulative time, keyed by
-    case name.  Profiling inflates wall times, so profiled runs must
-    never be recorded as (or gated against) a ledger reference either.
-    """
-    seeded: dict[str, int] = {}
-    if seed is not None:
-        seeded = {"seed": int(seed)}
-    results: dict[str, dict] = {}
-    for name, case in _suite_cases(smoke, seeded).items():
-        if profiles is None:
-            results[name] = case()
-        else:
-            prof = cProfile.Profile()
-            results[name] = prof.runcall(case)
-            profiles[name] = _top_functions(prof)
-    return results
-
-
-# ----------------------------------------------------------------------
-# provenance
-# ----------------------------------------------------------------------
-def record_provenance(
-    results: dict[str, dict],
-    store_root: Path | str,
-    label: str = "",
-) -> ArtifactStore:
-    """Record each bench case as a cell in a campaign artifact store.
-
-    Every case becomes a ``bench-<name>`` artifact holding the full
-    result row plus the environment that produced it, in the same
-    :class:`~repro.runtime.store.ArtifactStore` layout campaign cells
-    use — so one store can archive a machine's simulation results *and*
-    the performance context they were measured under.  Re-recording a
-    case overwrites its provenance (benchmarks re-run; cells don't).
-    """
-    store = ArtifactStore(store_root)
-    environment = {
-        "python": platform.python_version(),
-        "platform": platform.platform(),
-        "machine": platform.machine(),
-        "numpy": np.__version__,
-    }
+def _print_rows(results: dict[str, dict]) -> None:
     for name, row in results.items():
-        store.put(
-            f"bench-{name}",
-            {"result": dict(row), "environment": environment},
-            meta={
-                "kind": "bench-provenance",
-                "case": name,
-                "label": label,
-                "checksum": row.get("checksum"),
-            },
-            overwrite=True,
-        )
-    return store
-
-
-def record_profiles(
-    profiles: dict[str, list],
-    store_root: Path | str,
-    label: str = "",
-) -> ArtifactStore:
-    """Archive per-case cProfile top-20 tables in an artifact store.
-
-    Each case becomes a ``bench-profile-<name>`` artifact next to the
-    ``bench-<name>`` provenance rows, so a store can answer "where did
-    the time go" for the same run it archives results for.
-    """
-    store = ArtifactStore(store_root)
-    for name, rows in profiles.items():
-        store.put(
-            f"bench-profile-{name}",
-            {"top_functions": list(rows)},
-            meta={"kind": "bench-profile", "case": name, "label": label},
-            overwrite=True,
-        )
-    return store
+        print(f"{name}: " + "  ".join(f"{k}={v}" for k, v in row.items()))
 
 
 # ----------------------------------------------------------------------
@@ -819,6 +612,21 @@ def load_results(path: Path | str = DEFAULT_RESULTS_PATH) -> dict:
             "speedup": {},
         }
     return json.loads(path.read_text())
+
+
+def record_smoke(
+    results: dict[str, dict], path: Path | str = DEFAULT_RESULTS_PATH
+) -> dict:
+    """Record ``results`` as the ledger's ``smoke`` reference.
+
+    Every other section is rewritten exactly as it was read.
+    """
+    path = Path(path)
+    ledger = load_results(path)
+    ledger["smoke"] = {"label": "", "results": results}
+    ledger["schema"] = _SCHEMA
+    path.write_text(json.dumps(ledger, indent=2, sort_keys=True) + "\n")
+    return ledger
 
 
 #: Keys a benchmark row *measures* (timings, derived ratios, and
@@ -851,59 +659,14 @@ _MEASURED_KEYS = frozenset(
 def workload_params(row: dict) -> dict:
     """The workload-defining subset of a benchmark result row.
 
-    Speedup derivation and the ``--check`` gate refuse to compare rows
-    whose workload params differ: a wall-clock ratio between a 200-job
-    run and a 20-job run (or two runs labelled with different node
-    counts) is not a speedup, it is a units error.  Checksums alone
-    cannot catch every such mismatch — a relabelled workload can keep a
-    stale checksum in the ledger — so the params are compared first.
+    The ``--check`` gate refuses to compare rows whose workload params
+    differ: a wall-clock ratio between a 200-job run and a 20-job run
+    (or two runs labelled with different node counts) is not a
+    regression, it is a units error.  Checksums alone cannot catch
+    every such mismatch — a relabelled workload can keep a stale
+    checksum in the ledger — so the params are compared first.
     """
     return {k: v for k, v in row.items() if k not in _MEASURED_KEYS}
-
-
-def _speedups(ledger: dict) -> dict[str, float]:
-    baseline = ledger.get("baseline") or {}
-    current = ledger.get("current") or {}
-    speedups: dict[str, float] = {}
-    for name, base in (baseline.get("results") or {}).items():
-        cur = (current.get("results") or {}).get(name)
-        if not cur or cur.get("wall_s", 0) <= 0:
-            continue
-        if workload_params(base) != workload_params(cur):
-            # Different workload shape: the ratio would be a units error.
-            continue
-        if base.get("checksum") != cur.get("checksum"):
-            # Different computation: a speedup would be meaningless.
-            continue
-        speedups[name] = round(base["wall_s"] / cur["wall_s"], 2)
-    return speedups
-
-
-def record_results(
-    results: dict[str, dict],
-    path: Path | str = DEFAULT_RESULTS_PATH,
-    label: str = "",
-    as_baseline: bool = False,
-    section: str | None = None,
-) -> dict:
-    """Merge a suite run into the ledger and rewrite it.
-
-    ``as_baseline`` pins the run as the reference implementation; by
-    default only the ``current`` section (and derived speedups) move.
-    ``section`` overrides the destination explicitly (``"smoke"``
-    records the CI-sized reference that ``--check --smoke`` gates
-    against).  An existing baseline is never overwritten implicitly.
-    """
-    path = Path(path)
-    ledger = load_results(path)
-    entry = {"label": label, "results": results}
-    if section is None:
-        section = "baseline" if as_baseline else "current"
-    ledger[section] = entry
-    ledger["schema"] = _SCHEMA
-    ledger["speedup"] = _speedups(ledger)
-    path.write_text(json.dumps(ledger, indent=2, sort_keys=True) + "\n")
-    return ledger
 
 
 # ----------------------------------------------------------------------
@@ -916,19 +679,30 @@ def check_results(
 ) -> list[str]:
     """Compare a fresh suite run against a recorded reference entry.
 
-    Returns human-readable failure strings: one per benchmark whose
+    Returns human-readable failure strings: one per recorded case the
+    run did not produce, and one per run case that is not recorded (a
+    gate that silently skips either would pass a registry that lost a
+    case).  Among cases present on both sides, one per case whose
     workload params no longer match the recorded row (the comparison
     itself would be meaningless — re-record the ledger), whose checksum
     drifted from the recorded value (the simulation now computes
     something different), or whose wall time exceeds ``wall_tolerance``
-    times the recorded wall time (performance regression).  Benchmarks
-    missing from the reference are skipped — they gate once recorded.
+    times the recorded wall time (performance regression).
     """
     failures: list[str] = []
     ref_results = (reference or {}).get("results") or {}
+    for name in ref_results:
+        if name not in results:
+            failures.append(
+                f"{name}: recorded in the reference but missing from the run"
+            )
     for name, row in results.items():
         ref = ref_results.get(name)
         if ref is None:
+            failures.append(
+                f"{name}: not in the recorded reference — re-record the "
+                "ledger with --save-smoke"
+            )
             continue
         params = workload_params(row)
         ref_params = workload_params(ref)
@@ -955,38 +729,27 @@ def check_results(
 
 
 def run_check(
-    smoke: bool = False,
     path: Path | str = DEFAULT_RESULTS_PATH,
     wall_tolerance: float = 1.25,
-    store: Path | str | None = None,
 ) -> int:
     """Run the suite and gate it against the ledger (non-zero on drift).
 
-    Full runs compare against the ``current`` section, smoke runs
-    against the ``smoke`` section (recorded with ``--save-smoke``);
-    the ledger itself is never modified.  This is the regression gate
-    CI wires in: checksum drift always fails, wall-time regressions
-    fail beyond ``wall_tolerance`` (relax it on noisy shared runners).
+    The reference is the ledger's ``smoke`` section (recorded with
+    ``--save-smoke``); the ledger itself is never modified.  Checksum
+    drift always fails; wall-time regressions fail beyond
+    ``wall_tolerance`` (relax it on noisy shared runners).
     """
-    import sys
-
-    # Validate the reference before burning minutes on the suite.
-    section = "smoke" if smoke else "current"
-    ledger = load_results(path)
-    reference = ledger.get(section)
+    # Validate the reference before burning time on the suite.
+    reference = load_results(path).get("smoke")
     if not reference:
-        hint = " --smoke --save-smoke" if smoke else ""
         print(
-            f"error: no {section!r} reference in {path}; record one with "
-            f"`python -m repro bench{hint}` first",
+            f"error: no 'smoke' reference in {path}; record one with "
+            "`python -m repro bench --save-smoke` first",
             file=sys.stderr,
         )
         return 2
-    results = run_suite(smoke=smoke)
-    for name, row in results.items():
-        print(f"{name}: " + "  ".join(f"{k}={v}" for k, v in row.items()))
-    if store is not None:
-        record_provenance(results, store)
+    results = run_suite()
+    _print_rows(results)
     failures = check_results(results, reference, wall_tolerance=wall_tolerance)
     if failures:
         for failure in failures:
@@ -994,68 +757,18 @@ def run_check(
         return 1
     print(
         f"bench check ok: {len(results)} case(s) within {wall_tolerance:.2f}x "
-        f"of the {section!r} reference, checksums unchanged"
+        "of the 'smoke' reference, checksums unchanged"
     )
     return 0
 
 
-def run_and_record(
-    smoke: bool = False,
-    save_baseline: bool = False,
-    path: Path | str = DEFAULT_RESULTS_PATH,
-    label: str = "",
-    save_smoke: bool = False,
-    store: Path | str | None = None,
+def run_bench(
+    path: Path | str = DEFAULT_RESULTS_PATH, save_smoke: bool = False
 ) -> int:
-    """Shared driver for every bench entry point (CLI and script).
-
-    Runs the suite, prints per-benchmark rows, and — except for smoke
-    runs, which never touch the ledger unless ``save_smoke`` pins them
-    as the ``--check --smoke`` reference — records the results and
-    prints the before/after table.  ``store`` additionally archives
-    per-case provenance into a campaign artifact store.  Returns a
-    process exit code.
-    """
+    """Run the suite and print its rows; ``save_smoke`` records them."""
+    results = run_suite()
+    _print_rows(results)
     if save_smoke:
-        smoke = True
-    results = run_suite(smoke=smoke)
-    for name, row in results.items():
-        print(f"{name}: " + "  ".join(f"{k}={v}" for k, v in row.items()))
-    if store is not None:
-        record_provenance(results, store, label=label)
-    if smoke:
-        if save_smoke:
-            record_results(results, path=path, label=label, section="smoke")
-            print(f"recorded smoke reference in {path}")
-        return 0
-    ledger = record_results(
-        results, path=path, label=label, as_baseline=save_baseline
-    )
-    print()
-    print(format_table(ledger))
+        record_smoke(results, path)
+        print(f"recorded smoke reference in {path}")
     return 0
-
-
-def format_table(ledger: dict) -> str:
-    """Render the ledger as a before/after table."""
-    baseline = (ledger.get("baseline") or {}).get("results") or {}
-    current = (ledger.get("current") or {}).get("results") or {}
-    speedups = ledger.get("speedup") or {}
-    names = sorted(set(baseline) | set(current))
-    if not names:
-        return "(no benchmark results recorded)"
-    header = f"{'benchmark':<16} {'baseline_s':>12} {'current_s':>12} {'speedup':>9}"
-    lines = [header, "-" * len(header)]
-    for name in names:
-        base = baseline.get(name, {}).get("wall_s")
-        cur = current.get(name, {}).get("wall_s")
-        speed = speedups.get(name)
-        lines.append(
-            "{:<16} {:>12} {:>12} {:>9}".format(
-                name,
-                "-" if base is None else f"{base:.4f}",
-                "-" if cur is None else f"{cur:.4f}",
-                "-" if speed is None else f"{speed:.2f}x",
-            )
-        )
-    return "\n".join(lines)

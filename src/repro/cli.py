@@ -17,20 +17,18 @@ Usage::
     python -m repro campaign status shards/
     python -m repro merge shard0-store shard1-store --store campaign-store
     python -m repro store verify campaign-store
-    python -m repro bench                # hot-path benchmarks + ledger
-    python -m repro bench --table-only   # recorded before/after table
+    python -m repro bench                # print the nine hot-path cases
     python -m repro bench --check        # fail on checksum/wall regression
-    python -m repro bench --smoke --check    # CI-sized regression gate
 
 Output is the same row data the benchmark harness prints; ``--fast``
 shrinks run counts / durations for a quick look.  Every stochastic
 artifact accepts ``--seed`` so shell invocations are reproducible;
 omitting it keeps each artifact's published default seed.
 
-Campaign-shaped subcommands (``scenario``, ``bench``, ``worker``,
-``merge``) share one flag vocabulary — ``--workers``, ``--seed``,
-``--store`` — built from a common argparse parent so the spellings,
-defaults, and help text cannot drift apart.
+Campaign-shaped subcommands (``scenario``, ``worker``, ``merge``)
+share one flag vocabulary — ``--workers``, ``--seed``, ``--store`` —
+built from a common argparse parent so the spellings, defaults, and
+help text cannot drift apart.
 """
 
 from __future__ import annotations
@@ -45,7 +43,6 @@ import numpy as np
 __all__ = [
     "main",
     "build_parser",
-    "add_bench_check_arguments",
     "make_runtime_parent",
 ]
 
@@ -84,38 +81,6 @@ def make_runtime_parent(
     )
     return parent
 
-
-def add_bench_check_arguments(parser: argparse.ArgumentParser) -> None:
-    """Attach the shared bench regression-gate flags to a parser.
-
-    Both bench entry points (``python -m repro bench`` and
-    ``benchmarks/bench_engine_hotpath.py``) call this so the gate's
-    flags, defaults, and help text cannot drift apart.  It lives here
-    (not in :mod:`repro.bench`) so parser construction stays free of
-    the heavy simulator imports.
-    """
-    parser.add_argument(
-        "--check",
-        action="store_true",
-        help="regression gate: exit non-zero when a checksum drifts from "
-        "the ledger or wall time regresses beyond --wall-tolerance "
-        "(full runs gate on 'current', --smoke runs on 'smoke'); "
-        "never writes the ledger",
-    )
-    parser.add_argument(
-        "--wall-tolerance",
-        type=float,
-        default=1.25,
-        metavar="X",
-        help="wall-time regression factor for --check (default: 1.25, "
-        "i.e. fail beyond +25%%; raise on noisy shared runners)",
-    )
-    parser.add_argument(
-        "--save-smoke",
-        action="store_true",
-        help="record a CI-sized run as the 'smoke' reference for "
-        "--check --smoke (implies --smoke)",
-    )
 
 #: artifact name -> (description, fast kwargs, full kwargs)
 _FIGURES: dict[str, tuple[str, dict, dict]] = {
@@ -190,7 +155,7 @@ def _cmd_list(_: argparse.Namespace) -> int:
     print("  campaign run <dir>       fault-tolerant supervisor for all shards")
     print("  campaign status <dir>    live progress of a sharded campaign")
     print("  store verify <dirs...>   audit store integrity (manifest vs disk)")
-    print("  bench                    simulator hot-path benchmark suite")
+    print("  bench                    hot-path checksum and wall-time gate")
     return 0
 
 
@@ -236,90 +201,11 @@ def _cmd_table(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    from repro.bench import (
-        format_table,
-        load_results,
-        record_profiles,
-        record_provenance,
-        run_and_record,
-        run_check,
-        run_suite,
-    )
+    from repro.bench import run_bench, run_check
 
-    if args.workers != 1:
-        print(
-            "note: benchmarks always run serially to keep timings honest; "
-            "--workers ignored",
-            file=sys.stderr,
-        )
-    if args.table_only:
-        print(format_table(load_results(args.json)))
-        return 0
-    if args.profile:
-        # Profiling instruments every frame, so the wall times are not
-        # the hot path's: the run can be printed and archived but never
-        # recorded as (or gated against) a ledger reference.
-        if args.check or args.save_baseline or args.save_smoke:
-            print(
-                "error: --profile inflates wall times; it cannot be "
-                "combined with --check/--save-baseline/--save-smoke "
-                "(the ledger pins un-instrumented timings)",
-                file=sys.stderr,
-            )
-            return 2
-        if not args.store:
-            print(
-                "error: --profile needs --store to archive the per-case "
-                "profiles",
-                file=sys.stderr,
-            )
-            return 2
-        profiles: dict = {}
-        results = run_suite(
-            smoke=args.smoke, seed=args.seed, profiles=profiles
-        )
-        for name, row in results.items():
-            print(f"{name}: " + "  ".join(f"{k}={v}" for k, v in row.items()))
-        record_provenance(results, args.store, label=args.label)
-        record_profiles(profiles, args.store, label=args.label)
-        print(
-            f"archived top-20 cProfile tables for {len(profiles)} case(s) "
-            f"in {args.store}"
-        )
-        return 0
-    if args.seed is not None:
-        # Overridden seeds change every checksum, so the run can be
-        # printed and archived but never recorded as (or gated against)
-        # a ledger reference.
-        if args.check or args.save_baseline or args.save_smoke:
-            print(
-                "error: --seed changes benchmark checksums; it cannot be "
-                "combined with --check/--save-baseline/--save-smoke "
-                "(the ledger pins each case's published seed)",
-                file=sys.stderr,
-            )
-            return 2
-        results = run_suite(smoke=args.smoke, seed=args.seed)
-        for name, row in results.items():
-            print(f"{name}: " + "  ".join(f"{k}={v}" for k, v in row.items()))
-        if args.store:
-            record_provenance(results, args.store, label=args.label)
-        return 0
     if args.check:
-        return run_check(
-            smoke=args.smoke,
-            path=args.json,
-            wall_tolerance=args.wall_tolerance,
-            store=args.store,
-        )
-    return run_and_record(
-        smoke=args.smoke,
-        save_baseline=args.save_baseline,
-        path=args.json,
-        label=args.label,
-        save_smoke=args.save_smoke,
-        store=args.store,
-    )
+        return run_check(path=args.json, wall_tolerance=args.wall_tolerance)
+    return run_bench(path=args.json, save_smoke=args.save_smoke)
 
 
 def _cmd_fingerprint(args: argparse.Namespace) -> int:
@@ -1359,47 +1245,32 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "bench",
-        help="run the simulator hot-path benchmarks (BENCH_engine.json)",
-        parents=[
-            make_runtime_parent(
-                workers_help="accepted for CLI consistency; benchmarks "
-                "always run serially to keep timings honest",
-                seed_default=None,
-                seed_help="override each case's pinned workload seed "
-                "(default: pinned seeds); seeded runs are printed but "
-                "never recorded or gated — their checksums are "
-                "incomparable to the ledger",
-                store_help="archive per-case provenance (result row + "
-                "environment) into this campaign artifact store "
-                "(default: no store)",
-            )
-        ],
+        help="run the simulator hot-path gate (BENCH_engine.json)",
     )
     p.add_argument(
-        "--smoke", action="store_true",
-        help="CI-sized run; prints results without writing the ledger",
+        "--check",
+        action="store_true",
+        help="regression gate: exit non-zero when a checksum drifts from "
+        "the ledger's 'smoke' reference or wall time regresses beyond "
+        "--wall-tolerance; never writes the ledger",
     )
     p.add_argument(
-        "--save-baseline", action="store_true",
-        help="pin this run as the reference implementation",
+        "--wall-tolerance",
+        type=float,
+        default=1.25,
+        metavar="X",
+        help="wall-time regression factor for --check (default: 1.25, "
+        "i.e. fail beyond +25%%; raise on noisy shared runners)",
     )
     p.add_argument(
-        "--table-only", action="store_true",
-        help="print the recorded before/after table without benchmarking",
+        "--save-smoke",
+        action="store_true",
+        help="record this run as the 'smoke' reference for --check",
     )
-    p.add_argument(
-        "--profile", action="store_true",
-        help="run each case under cProfile and archive its top-20 "
-        "functions (by cumulative time) in --store next to the "
-        "provenance rows; profiled wall times are instrumented, so "
-        "the run is never recorded or gated",
-    )
-    add_bench_check_arguments(p)
     p.add_argument(
         "--json", default="BENCH_engine.json", metavar="PATH",
         help="results ledger path (default: BENCH_engine.json)",
     )
-    p.add_argument("--label", default="", help="label stored with the run")
     p.set_defaults(handler=_cmd_bench)
     return parser
 

@@ -5,9 +5,8 @@ conclusions require *many* long, repeated campaigns; this package is
 the substrate that makes such campaigns cheap to run, cache, and
 distribute.  Every campaign-shaped workload in the library — DAG
 scenario sweeps (:mod:`repro.scenarios`), serving sweeps
-(:mod:`repro.serving`), figure replay sweeps (:mod:`repro.paper`),
-and the bench suite's provenance records (:mod:`repro.bench`) — runs
-through the same three abstractions:
+(:mod:`repro.serving`) and figure replay sweeps (:mod:`repro.paper`)
+— runs through the same three abstractions:
 
 * :class:`~repro.runtime.cell.Cell` — the unit of work: a pure,
   import-referenced function plus a JSON payload, identified by a

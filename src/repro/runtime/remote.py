@@ -37,7 +37,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import tempfile
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -51,6 +50,8 @@ from repro.runtime.store import (
     ArtifactStore,
     StoreCorruptionError,
     _canonical_json,
+    atomic_write_bytes,
+    atomic_write_text,
 )
 
 __all__ = [
@@ -112,25 +113,6 @@ class Transport:
         raise NotImplementedError
 
 
-def _atomic_write_bytes(path: Path, data: bytes) -> None:
-    """Byte twin of :func:`repro.runtime.store.atomic_write_text`."""
-    fd, tmp_name = tempfile.mkstemp(
-        prefix=f".{path.name}.", suffix=".tmp", dir=path.parent
-    )
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            handle.write(data)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp_name, path)
-    except BaseException:
-        try:
-            os.unlink(tmp_name)
-        except OSError:
-            pass
-        raise
-
-
 class LocalDirTransport(Transport):
     """Reference transport: a directory standing in for the remote.
 
@@ -167,7 +149,7 @@ class LocalDirTransport(Transport):
     ) -> None:
         path = self._resolve(relpath)
         path.parent.mkdir(parents=True, exist_ok=True)
-        _atomic_write_bytes(path, data)
+        atomic_write_bytes(path, data)
 
 
 class FaultyTransport(Transport):
@@ -825,8 +807,6 @@ class RemoteStore:
             state = {}
         state["schema"] = SYNC_STATE_SCHEMA
         state[report.direction] = report.to_payload()
-        from repro.runtime.store import atomic_write_text
-
         atomic_write_text(path, _canonical_json(state))
 
 

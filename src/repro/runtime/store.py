@@ -60,6 +60,7 @@ __all__ = [
     "StoreRepairReport",
     "StoreVerifyProblem",
     "StoreVerifyReport",
+    "atomic_write_bytes",
     "atomic_write_text",
     "validate_key",
 ]
@@ -167,21 +168,22 @@ def validate_key(key: str, kind: str = "artifact key") -> None:
         )
 
 
-def atomic_write_text(path: Path, text: str) -> None:
-    """Write ``text`` to ``path`` durably: temp file + fsync + rename.
+def atomic_write_bytes(path: Path, data: bytes) -> None:
+    """Write ``data`` to ``path`` durably: temp file + fsync + rename.
 
     The temp file lives in the destination directory (``os.replace``
     must not cross filesystems) with a process-unique name, so
     concurrent writers cannot trample each other's staging files and an
-    interrupted write leaves the destination untouched.
+    interrupted write leaves the destination untouched.  The directory
+    is fsynced after the rename, so the rename itself is durable.
     """
     path = Path(path)
     fd, tmp_name = tempfile.mkstemp(
         prefix=f".{path.name}.", suffix=".tmp", dir=path.parent
     )
     try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write(text)
+        with os.fdopen(fd, "wb") as handle:
+            handle.write(data)
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(tmp_name, path)
@@ -192,6 +194,11 @@ def atomic_write_text(path: Path, text: str) -> None:
             pass
         raise
     _fsync_directory(path.parent)
+
+
+def atomic_write_text(path: Path, text: str) -> None:
+    """:func:`atomic_write_bytes` of ``text`` encoded as UTF-8."""
+    atomic_write_bytes(path, text.encode("utf-8"))
 
 
 def _fsync_directory(directory: Path) -> None:
@@ -664,7 +671,7 @@ class ArtifactStore:
         directory = self.root / key
         directory.mkdir(exist_ok=True)
         for name in names:
-            atomic_write_text(directory / f"{name}.json", files[name].decode())
+            atomic_write_bytes(directory / f"{name}.json", files[name])
         for stale in directory.glob("*.json"):
             if stale.stem not in files:
                 stale.unlink()

@@ -51,11 +51,11 @@ Telemetry appends into growable preallocated numpy buffers.  The
 refactor is *bit-exact* against the reference implementation — the
 golden-trace test (``tests/simulator/test_golden_trace.py``) pins
 pre-refactor outputs, and determinism tests guarantee same seed ⇒
-identical timings.  Benchmarks: ``python -m repro bench`` (or
-``python benchmarks/bench_engine_hotpath.py``) times a 16-node/200-job
-stream plus a 10k-flow water-filling microbench and records the
-trajectory in ``BENCH_engine.json``; read it with
-``python -m repro bench --table-only``.
+identical timings.  ``python -m repro bench --check`` gates the
+checksums and wall times of nine CI-sized hot-path cases (streams, a
+1000-flow water-fill, fleet sweeps, batched cells, serving) against
+``BENCH_engine.json``; ``perfbench/`` is the repeated, per-layer
+benchmark.
 """
 
 from repro.simulator.cluster import Cluster, NodeSpec

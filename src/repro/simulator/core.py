@@ -16,8 +16,8 @@ Two workloads ride the core today:
   fifo/fair/preempt/srpt/edf schedulers.  The split is purely
   structural: every statement of the pre-split loop runs in the same
   order with the same operands, so golden traces, scheduler
-  checksums, and ``repro bench --check`` results are bit-identical to
-  the monolithic implementation.
+  checksums, and the ``repro bench --check`` checksums are
+  bit-identical to the monolithic implementation.
 * ``repro.serving.state.ServingState`` — open/closed-loop request
   serving over microservice call trees (per-hop fabric flows, think
   timers, SLO latency telemetry).

@@ -69,6 +69,20 @@ class TestLocalDirTransport:
             "a.json"
         ]
 
+    def test_write_fsyncs_the_directory_after_the_rename(
+        self, tmp_path, monkeypatch
+    ):
+        # The rename is only durable once its directory is fsynced,
+        # the same promise ArtifactStore's own writes keep.
+        import repro.runtime.store as store_module
+
+        synced = []
+        monkeypatch.setattr(store_module, "_fsync_directory", synced.append)
+        t = LocalDirTransport(tmp_path / "r")
+        t.write_bytes("k1/a.json", b'{"x": 1}')
+        assert synced == [tmp_path / "r" / "k1"]
+        assert (tmp_path / "r" / "k1" / "a.json").read_bytes() == b'{"x": 1}'
+
     def test_missing_path_is_not_found(self, tmp_path):
         t = LocalDirTransport(tmp_path / "r")
         with pytest.raises(TransportNotFoundError):

@@ -101,6 +101,11 @@ class TestDurability:
         assert path.read_text() == '{"a": 1}'
         assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
 
+    def test_text_write_lands_its_utf8_bytes(self, tmp_path):
+        path = tmp_path / "out.json"
+        atomic_write_text(path, '{"\u00b5s": 1}\n')
+        assert path.read_bytes() == '{"\u00b5s": 1}\n'.encode("utf-8")
+
     def test_interrupted_write_preserves_old_content(self, tmp_path, monkeypatch):
         # A crash before the rename (simulated by making os.replace
         # fail) must leave the destination untouched and clean up the

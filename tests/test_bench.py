@@ -1,17 +1,17 @@
-"""Tests for the hot-path benchmark suite and its results ledger."""
+"""Tests for the ``repro bench`` gate: its cases and its check."""
 
 import json
 
 import pytest
 
 from repro.bench import (
-    bench_shaper_fleet_vs_scalar,
+    bench_campaign_overhead,
     bench_stream,
     bench_waterfill,
     check_results,
-    format_table,
     load_results,
-    record_results,
+    record_smoke,
+    workload_params,
 )
 from repro.cli import main
 
@@ -34,73 +34,87 @@ class TestBenchmarks:
         assert result["makespan_s"] > 0
         assert result["samples"] > 0
 
-    def test_stream_scalar_fleet_path_is_bit_exact(self):
-        fleet = bench_stream(n_nodes=4, n_jobs=2, data_scale=0.05)
-        scalar = bench_stream(
-            n_nodes=4, n_jobs=2, data_scale=0.05, scalar_fleet=True
-        )
-        assert scalar["checksum"] == fleet["checksum"]
-        assert scalar["n_steps"] == fleet["n_steps"]
-        assert scalar["makespan_s"] == fleet["makespan_s"]
-
     def test_shaper_case_compares_paths_bit_exactly(self):
-        result = bench_shaper_fleet_vs_scalar(n_nodes=16, duration_s=60.0)
+        from repro.bench import bench_fleet_vs_scalar
+        from repro.bench.hotpath import _oscillating_buckets
+
+        result = bench_fleet_vs_scalar(
+            _oscillating_buckets, "budgets", max_step_s=0.1,
+            n_nodes=16, duration_s=60.0,
+        )
         assert result["checksum"] > 0
         assert result["n_steps"] > 0
         assert result["fleet_speedup"] > 0
         assert "scalar_wall_s" in result
 
 
+class TestGateCasePins:
+    """The literal outputs of the five cheap gate cases.
+
+    Each case runs exactly as ``repro bench`` runs it, and its workload
+    params and simulation outputs must equal the values the ``smoke``
+    reference of ``BENCH_engine.json`` records.  The compiled kernels
+    are bit-identical to the list-based reference, so the pins hold on
+    both jit legs.
+    """
+
+    PINS = {
+        "waterfill_10k": {
+            "n_flows": 1000, "n_nodes": 64, "rounds": 2,
+            "checksum": 614.362056,
+        },
+        "shaper_64_tb": {
+            "n_nodes": 64, "duration_s": 300.0,
+            "n_steps": 3042, "checksum": 2254.927374,
+        },
+        "percore_64": {
+            "n_nodes": 64, "duration_s": 300.0,
+            "n_steps": 1184, "checksum": 427.075224,
+        },
+        "campaign_overhead": {
+            "n_cells": 8, "cache_hits": 8, "checksum": 880.641,
+        },
+        "serving_openloop": {
+            "n_nodes": 4, "rate_rps": 40.0, "duration_s": 30.0,
+            "n_requests": 402, "n_steps": 4982, "slo_violations": 0,
+            "checksum": 15.692904,
+        },
+    }
+
+    @pytest.mark.parametrize("name", sorted(PINS))
+    def test_case_reproduces_its_pin(self, name):
+        from repro.bench.hotpath import _CASES
+
+        row = _CASES[name]()
+        expected = self.PINS[name]
+        assert {key: row[key] for key in expected} == expected
+        assert workload_params(row) == workload_params(expected)
+
+
 class TestLedger:
     def test_missing_ledger_is_empty(self, tmp_path):
         ledger = load_results(tmp_path / "nope.json")
         assert ledger["baseline"] is None
-        assert "(no benchmark results recorded)" in format_table(ledger)
+        assert ledger["smoke"] is None
 
-    def test_record_and_speedup_round_trip(self, tmp_path):
+    def test_record_smoke_keeps_the_frozen_sections(self, tmp_path):
         path = tmp_path / "BENCH_engine.json"
-        base = {"x": {"wall_s": 2.0, "checksum": 42.0}}
-        cur = {"x": {"wall_s": 0.5, "checksum": 42.0}}
-        record_results(base, path=path, label="old", as_baseline=True)
-        ledger = record_results(cur, path=path, label="new")
-        assert ledger["speedup"]["x"] == pytest.approx(4.0)
+        frozen = {
+            "schema": 1,
+            "baseline": {"label": "old", "results": {"x": {"wall_s": 2.0}}},
+            "current": {"label": "new", "results": {"x": {"wall_s": 0.5}}},
+            "smoke": None,
+            "speedup": {"x": 4.0},
+        }
+        path.write_text(json.dumps(frozen))
+        record_smoke({"x": {"wall_s": 0.1, "checksum": 1.0}}, path=path)
         reloaded = json.loads(path.read_text())
-        assert reloaded["baseline"]["label"] == "old"
-        assert reloaded["current"]["label"] == "new"
-        table = format_table(reloaded)
-        assert "4.00x" in table
-
-    def test_checksum_mismatch_voids_speedup(self, tmp_path):
-        path = tmp_path / "BENCH_engine.json"
-        record_results(
-            {"x": {"wall_s": 2.0, "checksum": 1.0}}, path=path, as_baseline=True
-        )
-        ledger = record_results({"x": {"wall_s": 0.5, "checksum": 2.0}}, path=path)
-        assert "x" not in ledger["speedup"]
-
-    def test_recording_current_never_touches_baseline(self, tmp_path):
-        path = tmp_path / "BENCH_engine.json"
-        record_results(
-            {"x": {"wall_s": 2.0, "checksum": 1.0}}, path=path, as_baseline=True
-        )
-        record_results({"x": {"wall_s": 1.0, "checksum": 1.0}}, path=path)
-        assert load_results(path)["baseline"]["results"]["x"]["wall_s"] == 2.0
-
-    def test_workload_param_mismatch_voids_speedup(self, tmp_path):
-        # A 10k-flow baseline against a 1k-flow current is a units
-        # error, not a speedup — even when the checksum happens to
-        # survive the relabelling.
-        path = tmp_path / "BENCH_engine.json"
-        record_results(
-            {"x": {"wall_s": 2.0, "checksum": 1.0, "n_flows": 10_000}},
-            path=path,
-            as_baseline=True,
-        )
-        ledger = record_results(
-            {"x": {"wall_s": 0.2, "checksum": 1.0, "n_flows": 1_000}},
-            path=path,
-        )
-        assert "x" not in ledger["speedup"]
+        for section in ("baseline", "current", "speedup"):
+            assert reloaded[section] == frozen[section]
+        assert reloaded["smoke"] == {
+            "label": "",
+            "results": {"x": {"wall_s": 0.1, "checksum": 1.0}},
+        }
 
 
 class TestCheckGate:
@@ -123,9 +137,21 @@ class TestCheckGate:
         assert "regressed" in failures[0]
         assert check_results(results, self._REF, wall_tolerance=1.5) == []
 
-    def test_unrecorded_case_is_skipped(self):
-        results = {"new_case": {"wall_s": 9.0, "checksum": 1.0}}
-        assert check_results(results, self._REF) == []
+    def test_unrecorded_case_fails(self):
+        results = {
+            "x": {"wall_s": 1.0, "checksum": 42.0},
+            "new_case": {"wall_s": 9.0, "checksum": 1.0},
+        }
+        failures = check_results(results, self._REF)
+        assert len(failures) == 1
+        assert failures[0].startswith("new_case: not in the recorded reference")
+
+    def test_case_missing_from_the_run_fails(self):
+        # A registry that dropped a case must not print "bench check ok".
+        failures = check_results({}, self._REF)
+        assert failures == [
+            "x: recorded in the reference but missing from the run"
+        ]
 
     def test_workload_param_mismatch_is_refused(self):
         ref = {
@@ -147,8 +173,6 @@ class TestCheckGate:
         assert "workload params differ" in failures[0]
 
     def test_workload_params_strips_only_measured_keys(self):
-        from repro.bench import workload_params
-
         row = {
             "wall_s": 1.0,
             "checksum": 42.0,
@@ -159,48 +183,48 @@ class TestCheckGate:
         }
         assert workload_params(row) == {"n_jobs": 200, "scheduler": "fair"}
 
-    def test_missing_reference_section_skips_everything(self):
+    def test_missing_reference_section_fails_every_case(self):
         results = {"x": {"wall_s": 9.0, "checksum": 99.0}}
-        assert check_results(results, None) == []
+        failures = check_results(results, None)
+        assert len(failures) == 1
+        assert "not in the recorded reference" in failures[0]
 
     def test_cli_check_fails_without_reference(self, tmp_path, capsys):
         # Reference validation happens before any benchmark runs, so
         # this is instant despite going through the real CLI.
         path = tmp_path / "BENCH_engine.json"
-        record_results(
-            {"x": {"wall_s": 2.0, "checksum": 1.0}}, path=path, as_baseline=True
-        )
-        code = main(["bench", "--smoke", "--check", "--json", str(path)])
+        path.write_text(json.dumps({"schema": 1, "smoke": None}))
+        code = main(["bench", "--check", "--json", str(path)])
         assert code == 2
         err = capsys.readouterr().err
         assert "no 'smoke' reference" in err
 
     def test_cli_smoke_check_round_trip(self, tmp_path, capsys, monkeypatch):
         # Gate plumbing only (exit codes, sections, output); the suite
-        # itself is canned — the real smoke suite already runs in CI
-        # and in TestBenchmarks.
+        # itself is canned — the real suite already runs in CI and the
+        # cheap cases run in TestGateCasePins.
         import repro.bench.hotpath as hotpath
 
         canned = {"stream_16x200": {"wall_s": 1.0, "checksum": 42.0}}
-        monkeypatch.setattr(hotpath, "run_suite", lambda smoke=False: canned)
+        monkeypatch.setattr(hotpath, "run_suite", lambda: canned)
         path = tmp_path / "BENCH_engine.json"
         assert main(["bench", "--save-smoke", "--json", str(path)]) == 0
         assert load_results(path)["smoke"] is not None
         code = main(
             [
-                "bench", "--smoke", "--check", "--json", str(path),
+                "bench", "--check", "--json", str(path),
                 "--wall-tolerance", "1000",
             ]
         )
         assert code == 0
         out = capsys.readouterr().out
-        assert "bench check ok" in out
+        assert "bench check ok: 1 case(s)" in out
 
     def test_cli_check_detects_checksum_drift(self, tmp_path, capsys, monkeypatch):
         import repro.bench.hotpath as hotpath
 
         canned = {"stream_16x200": {"wall_s": 1.0, "checksum": 42.0}}
-        monkeypatch.setattr(hotpath, "run_suite", lambda smoke=False: canned)
+        monkeypatch.setattr(hotpath, "run_suite", lambda: canned)
         path = tmp_path / "BENCH_engine.json"
         assert main(["bench", "--save-smoke", "--json", str(path)]) == 0
         ledger = load_results(path)
@@ -208,30 +232,30 @@ class TestCheckGate:
         path.write_text(json.dumps(ledger))
         code = main(
             [
-                "bench", "--smoke", "--check", "--json", str(path),
+                "bench", "--check", "--json", str(path),
                 "--wall-tolerance", "1000",
             ]
         )
         assert code == 1
         assert "checksum drifted" in capsys.readouterr().err
 
+    def test_cli_plain_run_prints_rows_and_leaves_the_ledger(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        import repro.bench.hotpath as hotpath
 
-class TestCli:
-    def test_bench_table_only(self, tmp_path, capsys):
+        canned = {"stream_16x200": {"wall_s": 1.0, "checksum": 42.0}}
+        monkeypatch.setattr(hotpath, "run_suite", lambda: canned)
         path = tmp_path / "BENCH_engine.json"
-        record_results(
-            {"x": {"wall_s": 2.0, "checksum": 1.0}}, path=path, as_baseline=True
+        assert main(["bench", "--json", str(path)]) == 0
+        assert not path.exists()
+        assert capsys.readouterr().out == (
+            "stream_16x200: wall_s=1.0  checksum=42.0\n"
         )
-        assert main(["bench", "--table-only", "--json", str(path)]) == 0
-        out = capsys.readouterr().out
-        assert "benchmark" in out
-        assert "2.0000" in out
 
 
 class TestCampaignOverhead:
     def test_overhead_case_is_deterministic_and_cached(self):
-        from repro.bench import bench_campaign_overhead
-
         a = bench_campaign_overhead(n_cells=4, seed=77)
         b = bench_campaign_overhead(n_cells=4, seed=77)
         assert a["cache_hits"] == 4
@@ -242,70 +266,3 @@ class TestCampaignOverhead:
         assert a["per_cell_ms"] == pytest.approx(
             a["wall_s"] / 4 * 1_000.0, abs=0.05
         )
-
-
-class TestProvenance:
-    def test_record_provenance_archives_each_case(self, tmp_path):
-        from repro.bench import record_provenance
-        from repro.runtime import ArtifactStore
-
-        results = {
-            "stream_16x200": {"wall_s": 1.0, "checksum": 2.0},
-            "waterfill_10k": {"wall_s": 0.1, "checksum": 3.0},
-        }
-        record_provenance(results, tmp_path / "store", label="pr")
-        store = ArtifactStore(tmp_path / "store")
-        assert store.keys() == ["bench-stream_16x200", "bench-waterfill_10k"]
-        doc = store.get("bench-stream_16x200")
-        assert doc["result"] == results["stream_16x200"]
-        assert "python" in doc["environment"]
-        assert store.meta("bench-stream_16x200")["label"] == "pr"
-        # Benchmarks re-run: provenance overwrites instead of refusing.
-        record_provenance(results, tmp_path / "store")
-        assert store.get("bench-stream_16x200")["result"]["wall_s"] == 1.0
-
-
-class TestProfiles:
-    def test_top_functions_ranks_by_cumtime(self):
-        import cProfile
-
-        from repro.bench.hotpath import _top_functions
-
-        def inner():
-            return sum(range(2_000))
-
-        def outer():
-            return [inner() for _ in range(50)]
-
-        prof = cProfile.Profile()
-        prof.runcall(outer)
-        rows = _top_functions(prof, limit=5)
-        assert 0 < len(rows) <= 5
-        for row in rows:
-            assert set(row) == {"function", "ncalls", "tottime_s", "cumtime_s"}
-        cumtimes = [row["cumtime_s"] for row in rows]
-        assert cumtimes == sorted(cumtimes, reverse=True)
-        assert any("outer" in row["function"] for row in rows)
-
-    def test_record_profiles_archives_per_case(self, tmp_path):
-        import cProfile
-
-        from repro.bench import record_profiles
-        from repro.runtime import ArtifactStore
-
-        prof = cProfile.Profile()
-        prof.runcall(lambda: sum(range(1_000)))
-        from repro.bench.hotpath import _top_functions
-
-        profiles = {"waterfill_10k": _top_functions(prof)}
-        record_profiles(profiles, tmp_path / "store", label="pr")
-        store = ArtifactStore(tmp_path / "store")
-        assert store.keys() == ["bench-profile-waterfill_10k"]
-        doc = store.get("bench-profile-waterfill_10k")
-        assert doc["top_functions"] == profiles["waterfill_10k"]
-        meta = store.meta("bench-profile-waterfill_10k")
-        assert meta["kind"] == "bench-profile"
-        assert meta["label"] == "pr"
-        # Re-profiling overwrites, mirroring provenance recording.
-        record_profiles(profiles, tmp_path / "store")
-        assert store.get("bench-profile-waterfill_10k") == doc

@@ -42,7 +42,6 @@ class TestParser:
         parser = build_parser()
         cases = {
             "scenario": ["scenario"],
-            "bench": ["bench"],
             "worker": ["worker", "m.json"],
             "merge": ["merge", "s0", "s1"],
         }
@@ -223,10 +222,6 @@ class TestCommands:
         err = capsys.readouterr().err
         assert err.startswith("error:")
         assert "corrupt" in err
-
-    def test_bench_seed_refuses_ledger_operations(self, capsys):
-        assert main(["bench", "--seed", "5", "--check"]) == 2
-        assert "checksums" in capsys.readouterr().err
 
     def test_store_verify_missing_store_is_clean_error(
         self, capsys, tmp_path

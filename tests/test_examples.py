@@ -96,3 +96,14 @@ def test_fault_tolerant_campaign(capsys):
     assert "quarantined: ['cell-" in out
     assert "partial merge kept 6/8" in out
     assert "store verify" in out and "CORRUPT" not in out
+
+
+@pytest.mark.parametrize(
+    "name", ["fleet_scaling.py", "multistream_campaign.py"]
+)
+def test_bench_helper_importers_load(name):
+    # Both examples borrow private helpers from repro.bench.hotpath and
+    # are too slow to run here; loading them (without running main)
+    # fails when a helper they import is renamed or merged away.
+    namespace = runpy.run_path(str(EXAMPLES_DIR / name), run_name="not_main")
+    assert callable(namespace["main"])
