@@ -148,8 +148,9 @@ class ConstantRateModel(LinkModel):
     """A fixed-capacity link: the null model / ideal datacenter."""
 
     def __init__(self, rate_gbps: float) -> None:
-        if rate_gbps <= 0:
-            raise ValueError(f"rate must be positive, got {rate_gbps}")
+        # Written to fail on NaN, which passes ``<= 0``.
+        if not 0.0 < rate_gbps < math.inf:
+            raise ValueError(f"rate_gbps must be positive and finite, got {rate_gbps}")
         self._rate = float(rate_gbps)
 
     def limit(self) -> float:

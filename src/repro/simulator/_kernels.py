@@ -14,10 +14,12 @@ selection happens once at import:
   golden trace);
 * numba missing, or ``REPRO_NO_JIT`` set to anything non-empty →
   :data:`HAVE_JIT` is False and
-  :class:`~repro.simulator.fabric.Fabric` runs its list-based
-  reference instead (the kernels would be *slower* as interpreted
-  Python over numpy arrays, so the fallback is "don't call them", not
-  "call them uncompiled").
+  :class:`~repro.simulator.fabric.Fabric` runs its own reference
+  instead: the list water-fill, and for the bound scan and the advance
+  a loop over the flows up to ``fabric._SWEEP_CUTOVER`` live flows and
+  numpy ufunc sweeps above it (the kernels would be *slower* as
+  interpreted Python over numpy arrays, so the fallback is "don't call
+  them", not "call them uncompiled").
 
 The uncompiled originals stay importable as ``*_py`` so the identity
 tests can pin kernel algorithm ≡ fabric reference even on machines

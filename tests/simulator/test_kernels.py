@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 from repro.netmodel import ConstantRateModel
 from repro.simulator import Fabric
 from repro.simulator import _kernels
+from repro.simulator.fabric import _COMPLETE_EPS_GBIT, _SWEEP_CUTOVER
 
 _SRC = str(Path(__file__).resolve().parents[2] / "src")
 
@@ -48,6 +49,19 @@ def _assert_node_lists(fab):
         assert [f._index for f in fab._in_flows[node]] == [
             i for i in range(n) if dst[i] == node
         ]
+    # The kept rank keys: 2 * (first flow id), plus 1 for ingress, for
+    # exactly the non-empty resources; and the count of sending nodes.
+    handles = fab._handles
+    kept = {}
+    for node in range(fab.n_nodes):
+        leaving = [i for i in range(n) if src[i] == node]
+        if leaving:
+            kept[2 * handles[leaving[0]].flow_id] = node
+        entering = [i for i in range(n) if dst[i] == node]
+        if entering:
+            kept[2 * handles[entering[0]].flow_id + 1] = fab.n_nodes + node
+    assert fab._rank == kept
+    assert fab._n_senders == len(set(src))
 
 
 def _flow_rows(fab):
@@ -141,6 +155,7 @@ class TestWaterfillKernel:
         _assert_compacted(
             fab, live, before, {live.index(handles[i]) for i in completing}
         )
+        _assert_node_lists(fab)
         for f in flows[n_before:]:
             fab.add_flow(*f)
         fab.compute_rates()
@@ -151,6 +166,22 @@ class TestWaterfillKernel:
         )
         assert fab._rate[:n].tolist() == rate.tolist()
         _assert_node_lists(fab)
+
+    def test_rank_keys_follow_emptied_and_refilled_nodes(self):
+        fab = Fabric(
+            egress_models=[ConstantRateModel(5.0) for _ in range(3)],
+            ingress_caps_gbps=[5.0] * 3,
+        )
+        first = [fab.add_flow(0, 1, 10.0), fab.add_flow(0, 2, 10.0)]
+        _assert_node_lists(fab)
+        for flow in first:
+            flow.remaining_gbit = 0.0
+        assert len(fab.advance(0.0)) == 2
+        assert fab._rank == {} and fab._n_senders == 0
+        fab.add_flow(2, 0, 10.0)
+        fab.add_flow(1, 0, 10.0)
+        _assert_node_lists(fab)
+        assert fab._rank == {4: 2, 5: 3, 6: 1}
 
     def test_exhausted_resources_freeze_at_zero(self):
         # Three flows out of node 0 with zero egress: all frozen at 0.
@@ -205,6 +236,61 @@ class TestAdvanceFlowsKernel:
         count = _kernels.advance_flows_py(got, rate, dt, eps, scratch)
         assert got.tolist() == expected.tolist()
         assert scratch[:count].tolist() == expected_done.tolist()
+
+
+class TestFlowSweeps:
+    """``horizon``/``advance`` on both sides of the sweep cutover.
+
+    At or below ``_SWEEP_CUTOVER`` live flows the list leg loops over
+    the flows; above it, numpy ufuncs sweep the flow arrays.  Both must
+    equal the kernel sources bit for bit, including zero-rate flows,
+    volumes set to zero or below through a handle, and completions
+    that land in the same step.
+    """
+
+    @given(
+        seed=st.integers(min_value=0, max_value=10_000),
+        n_flows=st.integers(min_value=1, max_value=200),
+    )
+    @settings(max_examples=60, deadline=None)
+    @example(seed=1, n_flows=_SWEEP_CUTOVER)
+    @example(seed=2, n_flows=_SWEEP_CUTOVER + 1)
+    def test_matches_kernel_sources(self, seed, n_flows):
+        flows, egress, ingress = _random_instance(seed, n_flows, n_nodes=24)
+        fab = Fabric(
+            egress_models=[ConstantRateModel(e) for e in egress],
+            ingress_caps_gbps=ingress,
+        )
+        handles = [fab.add_flow(*f) for f in flows]
+        fab.compute_rates()
+        rng = np.random.default_rng(seed + 1)
+        tied = rng.uniform(0.5, 5.0)
+        # In a third of the draws some volumes drop to zero or below,
+        # which bounds the step at zero.
+        drained = 0.33 if rng.random() < 0.3 else 0.3
+        for handle, u in zip(handles, rng.random(n_flows)):
+            if u < 0.1:
+                # -0.0 is stalled too: dividing by it must not bind.
+                handle.rate_gbps = float(rng.choice([0.0, -0.0]))
+            elif u < 0.3:
+                # These complete in the same step as the earliest flow.
+                handle.remaining_gbit = handle.rate_gbps * tied
+            elif u < drained:
+                handle.remaining_gbit = float(rng.choice([0.0, -1.0]))
+        n = fab._n
+        remaining = fab._remaining[:n].copy()
+        rate = fab._rate[:n].copy()
+        bound = fab.horizon()
+        assert bound == _kernels.flow_min_bound_py(remaining, rate)
+        dt = bound if bound < np.inf else 1.0
+        scratch = np.empty(n, dtype=np.int64)
+        count = _kernels.advance_flows_py(
+            remaining, rate, dt, _COMPLETE_EPS_GBIT, scratch
+        )
+        completed = fab.advance(dt)
+        assert completed == [handles[i] for i in scratch[:count]]
+        assert [h.remaining_gbit for h in handles] == remaining.tolist()
+        assert fab._n == n - count
 
 
 class TestKernelSelection:
