@@ -122,6 +122,8 @@ class SimulatorExperiment:
         for model in self.fabric.egress_models:
             if hasattr(model, "set_budget"):
                 model.set_budget(self.budget_gbit)
+        # The budgets changed behind the fabric's back.
+        self.fabric.invalidate_rates()
 
     def measure(self) -> float:
         """Run the job once on the current fabric; returns runtime."""

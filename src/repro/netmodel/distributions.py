@@ -12,6 +12,7 @@ percentiles and sampled with uniform probabilities — exactly what
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -50,6 +51,15 @@ class QuantileDistribution:
             raise ValueError(f"values must be finite, got {self.values}")
         if any(b < a for a, b in zip(self.values, self.values[1:])):
             raise ValueError("values must be non-decreasing")
+        # Plain-float knots and numpy.interp's per-segment slopes, for
+        # the scalar inverse CDF (not dataclass fields: equality,
+        # hashing and repr see probs and values only).
+        xp = [float(p) for p in self.probs]
+        fp = [float(v) for v in self.values]
+        slopes = [
+            (fp[j + 1] - fp[j]) / (xp[j + 1] - xp[j]) for j in range(len(xp) - 1)
+        ]
+        object.__setattr__(self, "_knots", (xp, fp, slopes))
 
     @classmethod
     def from_box(cls, box: BoxSummary) -> "QuantileDistribution":
@@ -68,11 +78,42 @@ class QuantileDistribution:
 
     def quantile(self, p: float | Sequence[float] | np.ndarray):
         """Inverse CDF at probability ``p`` (clipped to the known range)."""
-        p_arr = np.clip(np.asarray(p, dtype=float), self.probs[0], self.probs[-1])
-        result = np.interp(p_arr, self.probs, self.values)
         if np.isscalar(p):
-            return float(result)
-        return result
+            p = float(p)
+            xp = self._knots[0]
+            lo = xp[0]
+            hi = xp[-1]
+            # np.clip's result: NaN passes through, as in _inverse_cdf.
+            return self._inverse_cdf(lo if p < lo else hi if p > hi else p)
+        p_arr = np.clip(np.asarray(p, dtype=float), self.probs[0], self.probs[-1])
+        return np.interp(p_arr, self.probs, self.values)
+
+    def _inverse_cdf(self, u: float) -> float:
+        """``float(np.interp(u, probs, values))`` for one float, in Python.
+
+        The same steps as numpy's C loop: the knot ``j`` with
+        ``probs[j] <= u < probs[j + 1]`` by bisection; the end values
+        outside the knots and at the last one; the knot's own value on
+        an exact hit; else ``slope * (u - probs[j]) + values[j]``, which
+        numpy retries from the right knot if it is NaN.  The result is
+        bit-identical, and a one-element ``np.interp`` call costs several
+        times more.
+        """
+        xp, fp, slopes = self._knots
+        if u != u:
+            return u
+        j = bisect_right(xp, u) - 1
+        if j < 0:
+            return fp[0]
+        if j >= len(slopes) or xp[j] == u:
+            return fp[j]
+        slope = slopes[j]
+        value = slope * (u - xp[j]) + fp[j]
+        if value != value:
+            value = slope * (u - xp[j + 1]) + fp[j + 1]
+            if value != value and fp[j] == fp[j + 1]:
+                value = fp[j]
+        return value
 
     @property
     def median(self) -> float:
@@ -96,10 +137,19 @@ class QuantileDistribution:
     def sample(self, rng: np.random.Generator, size: int | None = None):
         """Draw samples by uniform inversion of the piecewise-linear CDF."""
         u = rng.uniform(self.probs[0], self.probs[-1], size=size)
-        result = np.interp(u, self.probs, self.values)
         if size is None:
-            return float(result)
-        return result
+            return self._inverse_cdf(u)
+        return np.interp(u, self.probs, self.values)
+
+    def sample_last(self, rng: np.random.Generator, size: int) -> float:
+        """The last of ``sample(rng, size=size)``, transforming only it.
+
+        The RNG consumes the same ``size`` uniforms, so its stream ends
+        where the full draw leaves it.  Resampling shapers use this when
+        one step crosses several resample boundaries.
+        """
+        u = rng.uniform(self.probs[0], self.probs[-1], size=size)
+        return self._inverse_cdf(float(u[-1]))
 
     def mean_estimate(self, grid: int = 1_001) -> float:
         """Mean of the reconstructed distribution (trapezoidal estimate)."""

@@ -79,6 +79,7 @@ __all__ = [
     "ScalarFleetAdapter",
     "build_fleet",
     "concat_fleets",
+    "decay_floor",
 ]
 
 
@@ -123,6 +124,25 @@ def _wrap_interval(elapsed: float, interval: float) -> tuple[float, int]:
     return elapsed, crossings
 
 
+def decay_floor(floor: float, dt: float) -> float:
+    """A :meth:`LinkModelFleet.horizon_floor` carried across ``dt`` seconds.
+
+    After an ``advance(dt, rates)`` that changed no ceiling, with every
+    rate in ``[0, limits]``, a fleet's fresh floor is at least this
+    value.  So a caller may keep one floor across many steps and
+    decay it here instead of asking the fleet again.  The floor shifts
+    down by ``dt`` and pays three margins against the float residue of
+    the fleet's own state update.  The relative term covers residue on
+    the floor's own scale, such as a token budget over its drain rate.
+    The ``dt`` term covers the residue of the step itself.  The
+    absolute 1e-12 s covers clock subtractions ``interval - elapsed``,
+    whose residue is on the interval's scale, not the floor's (one ulp
+    of an interval under an hour is below 1e-12 s).  A negative result
+    proves nothing, which is harmless: horizons are never negative.
+    """
+    return (floor - dt) * (1.0 - 1e-12) - dt * 1e-12 - 1e-12
+
+
 class LinkModelFleet(ABC):
     """Batched :class:`~repro.netmodel.base.LinkModel` over N links.
 
@@ -133,6 +153,22 @@ class LinkModelFleet(ABC):
     golden-trace pins).  ``models`` exposes the adopted scalar handles;
     reading or mutating one of them observes/updates fleet state
     directly.
+
+    :meth:`horizon_floor` adds one fleet-level promise with no scalar
+    counterpart.  It returns a number ``f >= 0`` such that:
+
+    * ``f <= min(horizons(rates))`` for every ``rates`` with each entry
+      in ``[0, limits()]`` (a sum of max-min shares may exceed its
+      ceiling by a few ulps, and the floor allows for that too);
+    * after ``advance(dt, rates)`` with such rates that returns
+      ``None``, the fresh floor is at least ``decay_floor(f, dt)``.
+
+    A fabric caches the floor, decays it step by step, and skips the
+    ``horizons`` call whenever the floor lies beyond its next flow
+    completion (see :meth:`~repro.simulator.fabric.Fabric.horizon`).
+    Any state change outside :meth:`advance` (``rest``, ``reset``, a
+    write through a model handle) voids a cached floor; the fabric's
+    owner then calls ``invalidate_rates``.
     """
 
     #: Adopted scalar handles, in node order.
@@ -172,6 +208,15 @@ class LinkModelFleet(ABC):
         The returned array may be an internal scratch buffer: read it
         before the next fleet call, and do not mutate it.
         """
+
+    def horizon_floor(self) -> float:
+        """A send-rate-independent lower bound on every link's horizon.
+
+        See the class docstring for the contract.  The default, 0.0,
+        is the trivial floor: it proves nothing, so a fabric over this
+        fleet asks :meth:`horizons` on every step.
+        """
+        return 0.0
 
     @abstractmethod
     def advance(
@@ -358,6 +403,17 @@ class TokenBucketFleet(LinkModelFleet):
         self._flip_threshold = np.where(
             self._throttled, self._resume_minus_eps, _EMPTY_EPS_GBIT
         )
+        # Fastest budget motion toward the flip threshold, per tier, for
+        # horizon_floor: a high link drains at most at peak - replenish
+        # (the peak widened by 1e-9 for sums of shares a few ulps over
+        # it), a throttled link refills at most at replenish (negated,
+        # as its budget sits below the threshold).  NaN marks a tier
+        # that never flips; fmin skips it.
+        drain = self._peak * (1.0 + 1e-9) - self._replenish
+        self._floor_rate_high = np.where(drain > 0.0, drain, np.nan)
+        self._floor_rate_throttled = np.where(
+            self._replenish > 0.0, -self._replenish, np.nan
+        )
 
     def _alloc_scratch(self, n: int) -> None:
         self._zeros = np.zeros(n, dtype=float)
@@ -433,6 +489,22 @@ class TokenBucketFleet(LinkModelFleet):
                 out[zero] = 0.0
         return out
 
+    def horizon_floor(self) -> float:
+        """``(budget - eps) / (peak - replenish)`` over high links and
+        ``(resume - eps - budget) / replenish`` over throttled ones,
+        less a 1e-9 relative margin for the division's rounding.
+
+        The ``eps`` in each numerator (the flip threshold) keeps it
+        below the horizon's own ``budget`` or ``resume - budget``.
+        """
+        rate = np.where(
+            self._throttled, self._floor_rate_throttled, self._floor_rate_high
+        )
+        gap = np.subtract(self._budget, self._flip_threshold, out=self._f64_scratch)
+        np.divide(gap, rate, out=gap)
+        floor = float(np.fmin.reduce(gap, initial=math.inf)) * (1.0 - 1e-9)
+        return floor if floor > 0.0 else 0.0
+
     def advance(
         self, dt: float | np.ndarray, send_rates: np.ndarray
     ) -> np.ndarray | None:
@@ -501,6 +573,9 @@ class ConstantRateFleet(LinkModelFleet):
     def horizons(self, send_rates: np.ndarray) -> np.ndarray:
         return np.full(self._rates.shape[0], math.inf)
 
+    def horizon_floor(self) -> float:
+        return math.inf
+
     def advance(
         self, dt: float | np.ndarray, send_rates: np.ndarray
     ) -> np.ndarray | None:
@@ -544,6 +619,13 @@ class ResamplingFleet(LinkModelFleet):
 
     def horizons(self, send_rates: np.ndarray) -> np.ndarray:
         return np.maximum(self._intervals - self._elapsed, 0.0)
+
+    def horizon_floor(self) -> float:
+        """The exact ``min(horizons)``: resample clocks ignore rates."""
+        floor = float(
+            np.minimum.reduce(self._intervals - self._elapsed, initial=math.inf)
+        )
+        return floor if floor > 0.0 else 0.0
 
     def advance(
         self, dt: float | np.ndarray, send_rates: np.ndarray
@@ -634,6 +716,12 @@ class PerCoreQosFleet(LinkModelFleet):
         out = np.subtract(self._interval, self._elapsed, out=self._f64_scratch)
         np.maximum(out, 0.0, out=out)
         return out
+
+    def horizon_floor(self) -> float:
+        """The exact ``min(horizons)``: resample clocks ignore rates."""
+        gap = np.subtract(self._interval, self._elapsed, out=self._f64_scratch)
+        floor = float(np.minimum.reduce(gap, initial=math.inf))
+        return floor if floor > 0.0 else 0.0
 
     def advance(
         self, dt: float | np.ndarray, send_rates: np.ndarray
@@ -734,6 +822,8 @@ _CONCAT_SHARED: dict[type, tuple[str, ...]] = {
         "_budget",
         "_throttled",
         "_flip_threshold",
+        "_floor_rate_high",
+        "_floor_rate_throttled",
     ),
     ConstantRateFleet: ("_rates",),
     ResamplingFleet: ("_intervals", "_intervals_eps", "_elapsed", "_current"),

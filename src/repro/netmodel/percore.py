@@ -125,7 +125,7 @@ class PerCoreQosModel(LinkModel):
         mirroring ``_ResamplingModel._draw_batch``.
         """
         dist = self.warm_efficiency if self.is_warm else self.cold_efficiency
-        return float(dist.sample(self._rng, size=k)[-1])
+        return dist.sample_last(self._rng, k)
 
     def limit(self) -> float:
         return self.qos_gbps * self._efficiency

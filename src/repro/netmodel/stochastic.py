@@ -132,8 +132,7 @@ class UniformQuantileSamplingModel(_ResamplingModel):
         # in the same state and the kept (last) value is identical.
         if k <= 0:
             return self._current
-        values = self.distribution.sample(self._rng, size=k)
-        return max(float(values[-1]), 1e-6)
+        return max(self.distribution.sample_last(self._rng, k), 1e-6)
 
 
 class Ar1QuantileModel(_ResamplingModel):

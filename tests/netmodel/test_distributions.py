@@ -127,3 +127,104 @@ class TestTransforms:
         scaled = base.scale(factor)
         for p in (0.1, 0.5, 0.9):
             assert scaled.quantile(p) == pytest.approx(base.quantile(p) * factor)
+
+
+#: Distributions for the scalar inverse CDF's bit-equality checks: the
+#: fixture's, one with flat segments, one with integer knots and values
+#: (from_mapping keeps them as given), a wide-range one, and one whose
+#: slope overflows to inf.
+_INVERSE_CDF_CASES = [
+    QuantileDistribution(
+        probs=(0.01, 0.25, 0.50, 0.75, 0.99), values=(1.0, 3.0, 5.0, 7.0, 9.0)
+    ),
+    QuantileDistribution(
+        probs=(0.01, 0.2, 0.4, 0.6, 0.99), values=(0.5, 0.5, 2.0, 2.0, 2.0)
+    ),
+    QuantileDistribution.from_mapping({0.05: 1, 0.5: 4, 0.95: 4}),
+    QuantileDistribution(
+        probs=(1e-9, 0.3, 0.30000000000000004, 0.999999),
+        values=(-1e300, 0.0, 1e-300, 1e300),
+    ),
+    QuantileDistribution(probs=(0.1, 0.9), values=(-1e308, 1e308)),
+]
+
+
+def _bits(values) -> np.ndarray:
+    return np.asarray(values, dtype=float).view(np.uint64)
+
+
+def _interp_mismatches(dist, probabilities: np.ndarray) -> list:
+    """Probabilities where the scalar quantile differs from numpy's."""
+    lo, hi = dist.probs[0], dist.probs[-1]
+    reference = np.interp(np.clip(probabilities, lo, hi), dist.probs, dist.values)
+    scalar = [dist.quantile(p) for p in probabilities.tolist()]
+    differ = _bits(scalar) != reference.view(np.uint64)
+    return probabilities[differ][:10].tolist()
+
+
+class TestScalarInverseCdf:
+    """The pure-Python inverse CDF equals ``np.interp`` bit for bit."""
+
+    @pytest.mark.parametrize("case", range(len(_INVERSE_CDF_CASES)))
+    def test_knots_ends_and_outside(self, case):
+        dist = _INVERSE_CDF_CASES[case]
+        probs = np.array(dist.probs, dtype=float)
+        edges = np.concatenate(
+            [
+                probs,
+                np.nextafter(probs, 0.0),
+                np.nextafter(probs, 1.0),
+                [0.0, -0.0, 1.0, -3.0, 7.0, math.inf, -math.inf],
+            ]
+        )
+        assert _interp_mismatches(dist, edges) == []
+
+    def test_nan_maps_to_nan(self, dist):
+        assert math.isnan(dist.quantile(math.nan))
+        assert math.isnan(dist.quantile(np.float64("nan")))
+
+    @pytest.mark.parametrize("case", range(len(_INVERSE_CDF_CASES)))
+    def test_seeded_draws(self, case):
+        dist = _INVERSE_CDF_CASES[case]
+        rng = np.random.default_rng(case)
+        draws = rng.uniform(dist.probs[0], dist.probs[-1], 20_000)
+        assert _interp_mismatches(dist, draws) == []
+
+    def test_scalar_sample_is_the_interp_of_the_same_uniform(self, dist):
+        rng, twin = np.random.default_rng(3), np.random.default_rng(3)
+        for _ in range(200):
+            u = twin.uniform(dist.probs[0], dist.probs[-1])
+            want = float(np.interp(u, dist.probs, dist.values))
+            got = dist.sample(rng)
+            assert type(got) is float and _bits(got) == _bits(want)
+
+    @pytest.mark.parametrize("k", [1, 2, 7])
+    def test_sample_last_is_the_last_batch_draw(self, dist, k):
+        rng, twin = np.random.default_rng(9), np.random.default_rng(9)
+        for _ in range(50):
+            got = dist.sample_last(rng, k)
+            want = float(dist.sample(twin, size=k)[-1])
+            assert _bits(got) == _bits(want)
+        # Both generators consumed the same stream.
+        assert rng.uniform() == twin.uniform()
+
+
+@pytest.mark.slow
+def test_million_draws_bit_equal_to_np_interp():
+    rng = np.random.default_rng(20261018)
+    n = 260_000
+    total = 0
+    for dist in _INVERSE_CDF_CASES:
+        lo, hi = dist.probs[0], dist.probs[-1]
+        probabilities = np.concatenate(
+            [
+                rng.uniform(lo, hi, n),
+                # Every double in [0, 1) by bit pattern, subnormals too.
+                rng.integers(0, 0x3FF0000000000000, n // 4, dtype=np.uint64).view(
+                    np.float64
+                ),
+            ]
+        )
+        total += probabilities.size
+        assert _interp_mismatches(dist, probabilities) == []
+    assert total >= 1_000_000

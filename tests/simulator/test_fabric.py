@@ -299,6 +299,28 @@ class TestArrayStateManagement:
         assert flow.rate_gbps == pytest.approx(1.0)
 
 
+    def test_hand_set_rate_drains_the_shaper_at_the_new_rate(self):
+        # Setting a flow's rate must drop the cached per-node egress, or
+        # the next advance drains the bucket at the old rate.
+        params = TokenBucketParams(
+            peak_gbps=10.0, capped_gbps=1.0, replenish_gbps=1.0,
+            capacity_gbit=500.0,
+        )
+        model = TokenBucketModel(params)
+        fabric = Fabric(
+            egress_models=[model, TokenBucketModel(params)],
+            ingress_caps_gbps=[10.0, 10.0],
+        )
+        flow = fabric.add_flow(0, 1, 1000.0)
+        fabric.compute_rates()
+        assert fabric.node_egress_rates().tolist() == [10.0, 0.0]
+        flow.rate_gbps = 2.0
+        assert fabric.node_egress_rates().tolist() == [2.0, 0.0]
+        fabric.advance(10.0)
+        assert model.budget_gbit == 500.0 - (2.0 - 1.0) * 10.0
+        assert flow.remaining_gbit == 1000.0 - 2.0 * 10.0
+
+
 class TestEventHorizonCoalescing:
     """Near-tied shaper horizons must resolve as one event."""
 
