@@ -696,18 +696,13 @@ def _cmd_store_verify(args: argparse.Namespace) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return 2
         state = "ok" if report.ok else "CORRUPT"
-        line = (
+        print(
             f"{root}: {state} — {report.checked} key(s) checked, "
             f"{len(report.problems)} problem(s), "
             f"{len(report.orphans)} orphan dir(s)"
         )
-        if report.undigested:
-            line += f", {len(report.undigested)} undigested key(s)"
-        print(line)
         for problem in report.problems:
             print(f"  {problem}")
-        for key in report.undigested:
-            print(f"  {key}: undigested (run `repro store digest {root}`)")
         if args.repair and not report.ok:
             repaired = store.repair(report)
             print(
@@ -718,24 +713,6 @@ def _cmd_store_verify(args: argparse.Namespace) -> int:
             report = store.verify()
         problems += len(report.problems)
     return 1 if problems else 0
-
-
-def _cmd_store_digest(args: argparse.Namespace) -> int:
-    from pathlib import Path
-
-    from repro.runtime import ArtifactStore, StoreCorruptionError
-
-    for root in args.stores:
-        if not Path(root).is_dir():
-            print(f"error: no store directory {root}", file=sys.stderr)
-            return 2
-        try:
-            updated = ArtifactStore(root).record_digests()
-        except (StoreCorruptionError, OSError, ValueError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        print(f"{root}: recorded digests for {len(updated)} key(s)")
-    return 0
 
 
 def _cmd_store_sync(args: argparse.Namespace) -> int:
@@ -1078,13 +1055,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "store",
-        help="artifact-store maintenance (verify, digest, push/pull/sync)",
+        help="artifact-store maintenance (verify, push/pull/sync)",
     )
     store_sub = p.add_subparsers(dest="store_command", required=True)
     p = store_sub.add_parser(
         "verify",
         help="audit stores: every manifested document present, readable, "
-        "and matching its recorded sha256 (exit 1 on any problem)",
+        "and matching its recorded sha256; an entry that predates "
+        "digests is a problem (exit 1 on any problem)",
     )
     p.add_argument(
         "stores", nargs="+", metavar="DIR",
@@ -1097,16 +1075,6 @@ def build_parser() -> argparse.ArgumentParser:
         "directories are never touched (exit 0 once clean)",
     )
     p.set_defaults(handler=_cmd_store_verify)
-    p = store_sub.add_parser(
-        "digest",
-        help="backfill per-document sha256 digests for manifest entries "
-        "that predate them, making old stores auditable",
-    )
-    p.add_argument(
-        "stores", nargs="+", metavar="DIR",
-        help="artifact store directories to backfill",
-    )
-    p.set_defaults(handler=_cmd_store_digest)
     for verb, verb_help in (
         ("push", "upload local artifacts the remote store lacks "
          "(digest-keyed delta, read-back verified)"),

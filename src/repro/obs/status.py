@@ -289,7 +289,7 @@ def _sync_lag(
             continue
         digests = entry.get(DIGESTS_KEY)
         digests = digests if isinstance(digests, dict) else {}
-        names = entry.get("documents") or sorted(digests)
+        names = entry.get("documents") or []
         remote_entry = remote_manifest.get(key)
         remote_digests = (
             remote_entry.get(DIGESTS_KEY)

@@ -44,10 +44,11 @@ is boring.  The assumptions and guarantees, from the bottom up:
   whose bytes are missing or torn.
   :meth:`~repro.runtime.store.ArtifactStore.verify` (CLI:
   ``repro store verify``) audits exactly this contract — documents
-  present, parseable, and matching the sha256 recorded at write time.
+  present, parseable, and matching the sha256 recorded at write time;
+  an entry without recorded digests fails the audit.
 * *Resume is audit-first.*  A restarted worker re-verifies the keys it
   would skip and recomputes any that fail the audit, so a corrupted
-  artifact can't hide behind the resume path
+  or pre-digest artifact can't hide behind the resume path
   (:func:`~repro.runtime.worker.run_manifest`).
 * *Workers are expendable; the coordinator is the failure domain that
   matters.*  ``repro campaign run``
@@ -82,8 +83,9 @@ is boring.  The assumptions and guarantees, from the bottom up:
   own deterministic backoff schedule
   (:class:`~repro.runtime.remote.RetryPolicy`), per-operation
   timeouts, and the same documents-before-manifest landing order via
-  :meth:`~repro.runtime.store.ArtifactStore.adopt`.  A transfer the
-  link drops, truncates, corrupts, or stalls can delay convergence
+  :meth:`~repro.runtime.store.ArtifactStore.adopt`, the gate shard
+  merges land through too.  A transfer the link drops, truncates,
+  corrupts, or stalls can delay convergence
   but never lands a corrupt document in a manifest; a pull that
   cannot complete leaves the local store valid and reports exactly
   which keys are missing.  The chaos harness extends the convergence

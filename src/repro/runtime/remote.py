@@ -21,8 +21,10 @@ crosses the machine boundary.  The pieces:
   against the remote entry's digest before landing through
   :meth:`ArtifactStore.adopt`; push reads its own write back and
   re-uploads on mismatch), so no transport corruption can ever reach
-  a manifest.  Failures degrade gracefully: both stores stay valid,
-  and the :class:`SyncReport` names exactly which keys are missing.
+  a manifest.  An entry without recorded digests is never
+  transferred: push refuses it, pull reports it.  Failures degrade
+  gracefully: both stores stay valid, and the :class:`SyncReport`
+  names exactly which keys are missing.
 
 The remote layout **is** the :class:`ArtifactStore` layout
 (``manifest.json`` + ``<key>/<name>.json``) — a pushed remote is a
@@ -52,6 +54,7 @@ from repro.runtime.store import (
     _canonical_json,
     atomic_write_bytes,
     atomic_write_text,
+    entry_documents,
 )
 
 __all__ = [
@@ -515,21 +518,12 @@ class RemoteStore:
     ) -> None:
         self._write(MANIFEST_NAME, _canonical_json(manifest).encode(), report)
 
-    @staticmethod
-    def _entry_names(key: str, entry: Mapping, root: Path | None) -> list[str]:
-        names = entry.get("documents")
-        if names is None and root is not None:
-            names = sorted(p.stem for p in (root / key).glob("*.json"))
-        return list(names or [])
-
-    @staticmethod
-    def _entry_digests(entry: Mapping) -> dict:
-        digests = entry.get(DIGESTS_KEY)
-        return dict(digests) if isinstance(digests, Mapping) else {}
-
     # -- push --------------------------------------------------------------
     def push(self, keys: Iterable[str] | None = None) -> SyncReport:
-        """Upload local artifacts the remote lacks; returns the report."""
+        """Upload local artifacts the remote lacks; returns the report.
+
+        A local key that is missing or predates digests raises first.
+        """
         report = SyncReport(direction="push")
         local_manifest = self.local.manifest()
         if keys is None:
@@ -539,6 +533,9 @@ class RemoteStore:
             missing = [k for k in wanted if k not in local_manifest]
             if missing:
                 raise KeyError(f"no stored artifact {missing[0]!r}")
+        documents = {
+            key: entry_documents(key, local_manifest[key]) for key in wanted
+        }
         try:
             remote_manifest = self._read_remote_manifest(report)
         except (TransportError, ValueError) as exc:
@@ -547,22 +544,21 @@ class RemoteStore:
             return self._finish(report)
         staged: dict[str, dict] = {}
         for key in wanted:
-            entry = dict(local_manifest[key])
-            names = self._entry_names(key, entry, self.local.root)
-            digests = self._entry_digests(entry)
+            names, digests = documents[key]
             remote_entry = remote_manifest.get(key)
-            if remote_entry is not None and self._entry_digests(
-                remote_entry
-            ) == digests and digests:
+            if (
+                remote_entry is not None
+                and remote_entry.get(DIGESTS_KEY) == digests
+            ):
                 report.skipped.append(key)
                 continue
             try:
-                pushed_entry = self._push_key(key, entry, names, digests, report)
+                self._push_key(key, names, digests, report)
             except (TransportError, StoreCorruptionError, OSError) as exc:
                 report.failed[key] = str(exc)
                 self.log.log("push-failed", key=key, error=str(exc))
                 continue
-            staged[key] = pushed_entry
+            staged[key] = local_manifest[key]
             report.pushed.append(key)
         if staged:
             remote_manifest.update(staged)
@@ -578,17 +574,9 @@ class RemoteStore:
         return self._finish(report)
 
     def _push_key(
-        self,
-        key: str,
-        entry: dict,
-        names: list[str],
-        digests: dict,
-        report: SyncReport,
-    ) -> dict:
-        """Upload one artifact's documents, verified; returns its entry."""
-        if not names:
-            raise StoreCorruptionError(f"artifact {key!r} lists no documents")
-        payload_digests = dict(digests)
+        self, key: str, names: list[str], digests: Mapping, report: SyncReport
+    ) -> None:
+        """Upload one artifact's documents, verified against ``digests``."""
         blobs: dict[str, bytes] = {}
         for name in names:
             path = self.local.root / key / f"{name}.json"
@@ -598,14 +586,8 @@ class RemoteStore:
                 )
             data = path.read_bytes()
             actual = hashlib.sha256(data).hexdigest()
-            recorded = payload_digests.get(name)
-            if recorded is None:
-                # Pre-digest entry: refuse to push unparseable bytes,
-                # then let the computed digest ride in the remote entry
-                # so the remote side is fully auditable.
-                json.loads(data)
-                payload_digests[name] = actual
-            elif recorded != actual:
+            recorded = digests[name]
+            if recorded != actual:
                 raise StoreCorruptionError(
                     f"local artifact {key!r} document {name!r} is corrupt "
                     f"(recorded {recorded[:12]}… got {actual[:12]}…); "
@@ -613,16 +595,11 @@ class RemoteStore:
                 )
             blobs[name] = data
         for name in names:
-            self._transfer_up(
-                key, name, blobs[name], payload_digests[name], report
-            )
+            self._transfer_up(key, name, blobs[name], digests[name], report)
             report.documents += 1
             report.bytes += len(blobs[name])
             self._documents_total.inc(direction="push")
             self._bytes_total.inc(len(blobs[name]), direction="push")
-        entry["documents"] = sorted(names)
-        entry[DIGESTS_KEY] = payload_digests
-        return entry
 
     def _transfer_up(
         self, key: str, name: str, data: bytes, digest: str,
@@ -679,35 +656,17 @@ class RemoteStore:
             if remote_entry is None:
                 report.failed[key] = "not in remote manifest"
                 continue
-            entry = dict(remote_entry)
-            names = self._entry_names(key, entry, None)
-            if not names:
-                report.failed[key] = "remote entry lists no documents"
-                continue
-            digests = self._entry_digests(entry)
             try:
+                names, digests = entry_documents(key, remote_entry)
                 files = {
-                    name: self._transfer_down(
-                        key, name, digests.get(name), report
-                    )
+                    name: self._transfer_down(key, name, digests[name], report)
                     for name in names
                 }
-            except (TransportError, StoreCorruptionError) as exc:
+                self.local.adopt(key, files, remote_entry)
+            except (TransportError, StoreCorruptionError, ValueError) as exc:
+                # ValueError: an unsafe key or document name.
                 report.failed[key] = str(exc)
                 self.log.log("pull-failed", key=key, error=str(exc))
-                continue
-            for name, data in files.items():
-                if name not in digests:
-                    # Undigested remote entry: the bytes parsed (checked
-                    # in _transfer_down); record the computed digest so
-                    # adopt's gate — and every later audit — has truth.
-                    digests[name] = hashlib.sha256(data).hexdigest()
-            entry["documents"] = sorted(names)
-            entry[DIGESTS_KEY] = digests
-            try:
-                self.local.adopt(key, files, entry)
-            except StoreCorruptionError as exc:  # pragma: no cover - gate
-                report.failed[key] = str(exc)
                 continue
             report.pulled.append(key)
             for data in files.values():
@@ -718,7 +677,7 @@ class RemoteStore:
         return self._finish(report)
 
     def _transfer_down(
-        self, key: str, name: str, digest: str | None, report: SyncReport
+        self, key: str, name: str, digest: str, report: SyncReport
     ) -> bytes:
         """Fetch one document, re-fetching until its digest matches."""
         relpath = f"{key}/{name}.json"
@@ -726,24 +685,13 @@ class RemoteStore:
         last = ""
         for round_no in range(1, rounds + 1):
             data = self._read(relpath, report)
-            if digest is None:
-                # No recorded digest to check against: require valid
-                # JSON (catches truncation, not bit flips — which is
-                # exactly why `repro store digest` exists).
-                try:
-                    json.loads(data)
-                except ValueError as exc:
-                    last = f"undigested document unparseable: {exc}"
-                else:
-                    return data
-            else:
-                actual = hashlib.sha256(data).hexdigest()
-                if actual == digest:
-                    return data
-                last = (
-                    f"digest mismatch (recorded {digest[:12]}… got "
-                    f"{actual[:12]}…)"
-                )
+            actual = hashlib.sha256(data).hexdigest()
+            if actual == digest:
+                return data
+            last = (
+                f"digest mismatch (recorded {digest[:12]}… got "
+                f"{actual[:12]}…)"
+            )
             if round_no < rounds:
                 self._refetches_total.inc()
                 report.refetches += 1

@@ -2,11 +2,12 @@
 
 One :class:`ArtifactStore` is the persistence substrate for every
 campaign-shaped workload in the library: scenario and serving
-sweeps, Table 3 trace repositories, shard workers on other machines,
-and the bench ledger's provenance records all write the same layout::
+sweeps, Table 3 trace repositories and shard workers on other
+machines all write the same layout::
 
     <root>/
-      manifest.json            index: key -> metadata (+ document list)
+      manifest.json            index: key -> metadata, document list
+                               and per-document sha256 digests
       <key>/
         <name>.json            one JSON document per named artifact part
 
@@ -35,6 +36,9 @@ a content hash of the producing configuration (see
 same work — serially, via a process pool, or merged back from per-shard
 stores on different machines — end up byte-identical
 (:meth:`ArtifactStore.content_hash` makes that checkable).
+
+An entry without those digests predates them and is refused as
+corrupt everywhere (:func:`entry_documents`), so it is recomputed.
 """
 
 from __future__ import annotations
@@ -62,6 +66,7 @@ __all__ = [
     "StoreVerifyReport",
     "atomic_write_bytes",
     "atomic_write_text",
+    "entry_documents",
     "validate_key",
 ]
 
@@ -93,7 +98,9 @@ class StoreCorruptionError(RuntimeError):
 class StoreVerifyProblem:
     """One manifest↔disk inconsistency found by :meth:`ArtifactStore.verify`.
 
-    ``kind`` is one of ``missing-dir`` (manifested artifact has no
+    ``kind`` is one of ``bad-entry`` (the entry predates its document
+    list and sha256 digests, or names a path outside its directory),
+    ``missing-dir`` (manifested artifact has no
     directory), ``missing-file`` (a listed document file is absent),
     ``unreadable`` (the file exists but is not valid JSON — a torn or
     truncated write), ``digest-mismatch`` (bytes differ from the sha256
@@ -119,17 +126,13 @@ class StoreVerifyReport:
     those keys); ``orphans`` are artifact directories with no manifest
     entry — the benign residue of a writer killed mid-``put`` (the next
     ``put`` of the key adopts them), reported so an operator can
-    reclaim the space but never counted as corruption.  ``undigested``
-    keys parse fine but predate recorded sha256 digests, so their bytes
-    are unauditable until :meth:`ArtifactStore.record_digests` runs —
-    reported (not a problem) so the gap is visible instead of silent.
+    reclaim the space but never counted as corruption.
     """
 
     root: Path
     checked: int
     problems: list[StoreVerifyProblem] = field(default_factory=list)
     orphans: list[str] = field(default_factory=list)
-    undigested: list[str] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
@@ -166,6 +169,32 @@ def validate_key(key: str, kind: str = "artifact key") -> None:
             f"{kind} {key!r} must be filesystem-safe "
             "(letters, digits, dot, dash, underscore; not all dots)"
         )
+
+
+def entry_documents(key: str, entry: Mapping) -> tuple[list[str], Mapping]:
+    """The document names and sha256 digests a manifest entry records.
+
+    Raises :class:`StoreCorruptionError` naming ``key`` for an entry
+    that predates per-document digests: it must be recomputed.  A
+    document name that is not filesystem-safe raises ``ValueError``.
+    """
+    names = entry.get("documents")
+    digests = entry.get(DIGESTS_KEY)
+    if (
+        not isinstance(names, list)
+        or not names
+        or not isinstance(digests, Mapping)
+        or any(name not in digests for name in names)
+    ):
+        raise StoreCorruptionError(
+            f"artifact {key!r} predates per-document sha256 digests (its "
+            "manifest entry needs a document list and a digest for each "
+            "document); recompute it — `repro store verify --repair` "
+            "drops the entry"
+        )
+    for name in names:
+        validate_key(name, kind="document name")
+    return names, digests
 
 
 def atomic_write_bytes(path: Path, data: bytes) -> None:
@@ -322,8 +351,7 @@ class ArtifactStore:
             digests[name] = hashlib.sha256(text.encode()).hexdigest()
             atomic_write_text(directory / f"{name}.json", text)
         # Drop documents a previous version of the key wrote but this
-        # one does not: the directory must mirror the manifest entry,
-        # or the legacy glob fallback would resurrect stale files.
+        # one does not: the directory must mirror the manifest entry.
         # (Concurrent writers of the same key write the identical
         # content-addressed set, so this never removes a peer's work.)
         for stale in directory.glob("*.json"):
@@ -345,17 +373,9 @@ class ArtifactStore:
             self._write_manifest(manifest)
         return directory
 
-    def _entry_document_names(self, key: str, entry: Mapping) -> list[str]:
-        names = entry.get("documents")
-        if names is None:
-            # Pre-runtime manifests (seed-era TraceRepository) did not
-            # record a document list; fall back to the files on disk.
-            names = sorted(p.stem for p in (self.root / key).glob("*.json"))
-        return list(names)
-
     def document_names(self, key: str) -> list[str]:
         """Names of the documents stored under ``key``."""
-        return self._entry_document_names(key, self.meta(key))
+        return list(entry_documents(key, self.meta(key))[0])
 
     def _read_document_file(self, key: str, name: str) -> dict:
         """Read one document file, assuming the key is manifested."""
@@ -388,7 +408,7 @@ class ArtifactStore:
             entry = self.meta(key)
         return {
             name: self._read_document_file(key, name)
-            for name in self._entry_document_names(key, entry)
+            for name in entry_documents(key, entry)[0]
         }
 
     def delete(self, key: str) -> None:
@@ -420,9 +440,10 @@ class ArtifactStore:
         """Audit manifest↔disk consistency; never modifies the store.
 
         For every manifested key (or just ``keys``), checks that the
-        artifact directory exists, that every listed document file is
-        present and parses as JSON, and — for entries written since
-        digests were recorded — that the file bytes hash to the sha256
+        entry records safe document names and their digests (else it is
+        a ``bad-entry`` problem, as is an unsafe key), that the artifact
+        directory exists, that every listed document file is present
+        and parses as JSON, and that the file bytes hash to the sha256
         recorded under :data:`DIGESTS_KEY` at ``put`` time.  Document
         files the entry does not list are flagged as strays (external
         interference; :meth:`put` prunes its own).  Artifact
@@ -443,16 +464,20 @@ class ArtifactStore:
                 raise KeyError(f"no stored artifact {missing[0]!r}")
         report = StoreVerifyReport(root=self.root, checked=len(wanted))
         for key in wanted:
-            entry = manifest[key]
-            names = self._entry_document_names(key, entry)
+            try:
+                validate_key(key)
+                names, digests = entry_documents(key, manifest[key])
+            except (ValueError, StoreCorruptionError) as exc:
+                report.problems.append(
+                    StoreVerifyProblem(key, "*", "bad-entry", str(exc))
+                )
+                continue
             directory = self.root / key
             if not directory.is_dir():
                 report.problems.append(
                     StoreVerifyProblem(key, "*", "missing-dir")
                 )
                 continue
-            digests = entry.get(DIGESTS_KEY)
-            digests = digests if isinstance(digests, Mapping) else {}
             for name in names:
                 path = directory / f"{name}.json"
                 if not path.exists():
@@ -468,33 +493,23 @@ class ArtifactStore:
                         StoreVerifyProblem(key, name, "unreadable", str(exc))
                     )
                     continue
-                recorded = digests.get(name)
-                if recorded is None:
-                    # Pre-digest entry: the file parses but its bytes
-                    # are unauditable.  Not corruption — but not silent
-                    # either; `repro store digest` closes the gap.
-                    if key not in report.undigested:
-                        report.undigested.append(key)
-                else:
-                    actual = hashlib.sha256(data).hexdigest()
-                    if actual != recorded:
-                        report.problems.append(
-                            StoreVerifyProblem(
-                                key,
-                                name,
-                                "digest-mismatch",
-                                f"recorded {recorded[:12]}… got {actual[:12]}…",
-                            )
+                recorded = digests[name]
+                actual = hashlib.sha256(data).hexdigest()
+                if actual != recorded:
+                    report.problems.append(
+                        StoreVerifyProblem(
+                            key,
+                            name,
+                            "digest-mismatch",
+                            f"recorded {recorded[:12]}… got {actual[:12]}…",
                         )
-            # Entries predating the recorded document list use the
-            # files on disk as their truth, so nothing can be a stray.
-            if entry.get("documents") is not None:
-                listed = set(names)
-                for path in sorted(directory.glob("*.json")):
-                    if path.stem not in listed:
-                        report.problems.append(
-                            StoreVerifyProblem(key, path.stem, "stray-file")
-                        )
+                    )
+            listed = set(names)
+            for path in sorted(directory.glob("*.json")):
+                if path.stem not in listed:
+                    report.problems.append(
+                        StoreVerifyProblem(key, path.stem, "stray-file")
+                    )
         if keys is None:
             for path in sorted(self.root.iterdir()):
                 if path.is_dir() and path.name not in manifest:
@@ -506,8 +521,9 @@ class ArtifactStore:
     ) -> StoreRepairReport:
         """Remove corrupt artifacts so a re-run or ``pull`` recomputes them.
 
-        Keys with missing, truncated, or digest-mismatched documents
-        lose their manifest entry first (the :meth:`delete` ordering,
+        Keys with missing, truncated, or digest-mismatched documents,
+        and keys whose entry predates digests, lose their manifest
+        entry first (the :meth:`delete` ordering,
         so a crash mid-repair cannot leave an entry pointing at deleted
         files) and their document files after.  Stray files — documents
         a healthy entry does not list — are deleted without touching
@@ -517,8 +533,8 @@ class ArtifactStore:
         """
         if report is None:
             report = self.verify()
-        drop_kinds = {"missing-dir", "missing-file", "unreadable",
-                      "digest-mismatch"}
+        drop_kinds = {"bad-entry", "missing-dir", "missing-file",
+                      "unreadable", "digest-mismatch"}
         dropped = sorted(
             {p.key for p in report.problems if p.kind in drop_kinds}
         )
@@ -535,6 +551,10 @@ class ArtifactStore:
                     manifest.pop(key, None)
                 self._write_manifest(manifest)
         for key in dropped:
+            try:
+                validate_key(key)
+            except ValueError:
+                continue  # a crafted key: drop its entry, touch no files
             directory = self.root / key
             if not directory.exists():
                 continue
@@ -552,109 +572,24 @@ class ArtifactStore:
                 repaired.removed_files.append(f"{key}/{name}.json")
         return repaired
 
-    def record_digests(self, keys: Iterable[str] | None = None) -> list[str]:
-        """Backfill sha256 digests for entries that predate them.
-
-        Pre-PR7 manifests recorded no per-document digests, leaving
-        those entries unauditable (``verify`` reports them as
-        ``undigested``).  This computes the sha256 of each such
-        document's bytes on disk and records it in the manifest entry
-        — after first checking the bytes still parse as JSON, so a
-        torn write is refused rather than blessed as truth.  Entries
-        that already carry digests are left byte-untouched.  Returns
-        the keys whose entries were updated, sorted.
-        """
-        updated: list[str] = []
-        with self._manifest_lock():
-            manifest = self._read_manifest()
-            if keys is None:
-                wanted = sorted(manifest)
-            else:
-                wanted = sorted(set(keys))
-                missing = [key for key in wanted if key not in manifest]
-                if missing:
-                    raise KeyError(f"no stored artifact {missing[0]!r}")
-            for key in wanted:
-                entry = dict(manifest[key])
-                names = self._entry_document_names(key, entry)
-                digests = entry.get(DIGESTS_KEY)
-                digests = (
-                    dict(digests) if isinstance(digests, Mapping) else {}
-                )
-                changed = entry.get("documents") is None and bool(names)
-                for name in names:
-                    if name in digests:
-                        continue
-                    path = self.root / key / f"{name}.json"
-                    if not path.exists():
-                        raise StoreCorruptionError(
-                            f"artifact {key!r} lists document {name!r} but "
-                            f"{path} is missing; run verify/repair before "
-                            "recording digests"
-                        )
-                    data = path.read_bytes()
-                    try:
-                        json.loads(data)
-                    except ValueError as exc:
-                        raise StoreCorruptionError(
-                            f"artifact {key!r} document {name!r} is not "
-                            f"valid JSON ({exc}); refusing to record a "
-                            "digest of corrupt bytes"
-                        ) from exc
-                    digests[name] = hashlib.sha256(data).hexdigest()
-                    changed = True
-                if changed:
-                    entry["documents"] = sorted(names)
-                    entry[DIGESTS_KEY] = digests
-                    manifest[key] = entry
-                    updated.append(key)
-            if updated:
-                self._write_manifest(manifest)
-        return updated
-
     # -- cross-store operations --------------------------------------------
-    def adopt(
-        self, key: str, files: Mapping[str, bytes], entry: Mapping
-    ) -> Path:
-        """Land externally-fetched documents with :meth:`put` discipline.
+    def _land(
+        self, key: str, entry: Mapping, fetch: Callable[[str], bytes]
+    ) -> dict:
+        """The one gate every copied-in artifact passes; returns its entry.
 
-        The integrity gate for transported artifacts: every byte string
-        in ``files`` must hash to the sha256 its manifest ``entry``
-        records (and parse as JSON), or *nothing* lands — no corrupt
-        document can ever acquire a manifest entry.  Write ordering
-        matches :meth:`put`: all documents atomically on disk first,
-        then the manifest entry under the lock.  A key that is already
-        manifested keeps its existing entry (content addressing makes
-        racing adopters byte-identical).
+        Validates the key and document names, then requires each
+        document's bytes (``fetch(name)``) to match the entry's sha256
+        and parse as JSON.  Only then are the exact bytes written and
+        unlisted files pruned, so a refused key leaves nothing behind.
+        The caller records the returned entry in the manifest.
         """
         validate_key(key)
-        if not files:
-            raise ValueError(f"artifact {key!r} needs at least one document")
-        for name in files:
-            validate_key(name, kind="document name")
-        entry = dict(entry)
-        names = sorted(files)
-        listed = entry.get("documents")
-        if listed is not None and sorted(listed) != names:
-            raise StoreCorruptionError(
-                f"artifact {key!r} entry lists documents "
-                f"{sorted(listed)} but {names} were supplied"
-            )
-        entry["documents"] = names
-        digests = entry.get(DIGESTS_KEY)
-        if not isinstance(digests, Mapping):
-            raise StoreCorruptionError(
-                f"artifact {key!r} cannot be adopted without recorded "
-                "sha256 digests; compute them before landing"
-            )
+        names, digests = entry_documents(key, entry)
+        files: dict[str, bytes] = {}
         for name in names:
-            data = files[name]
-            recorded = digests.get(name)
-            if recorded is None:
-                raise StoreCorruptionError(
-                    f"artifact {key!r} document {name!r} has no recorded "
-                    "digest; refusing to land unverifiable bytes"
-                )
+            data = fetch(name)
+            recorded = digests[name]
             actual = hashlib.sha256(data).hexdigest()
             if actual != recorded:
                 raise StoreCorruptionError(
@@ -668,18 +603,36 @@ class ArtifactStore:
                     f"artifact {key!r} document {name!r} is not valid "
                     f"JSON ({exc})"
                 ) from exc
+            files[name] = data
         directory = self.root / key
         directory.mkdir(exist_ok=True)
-        for name in names:
-            atomic_write_bytes(directory / f"{name}.json", files[name])
+        for name, data in files.items():
+            atomic_write_bytes(directory / f"{name}.json", data)
         for stale in directory.glob("*.json"):
             if stale.stem not in files:
                 stale.unlink()
+        return dict(entry)
+
+    def adopt(
+        self, key: str, files: Mapping[str, bytes], entry: Mapping
+    ) -> Path:
+        """Land externally-fetched documents with :meth:`put` discipline.
+
+        The integrity gate for transported artifacts: ``files`` holds
+        the bytes of every document ``entry`` lists, and each must
+        pass :meth:`_land`'s checks, or *nothing* lands — no corrupt
+        document can ever acquire a manifest entry.  Write
+        ordering matches :meth:`put`: all documents atomically on disk
+        first, then the manifest entry under the lock.  A key that is
+        already manifested keeps its existing entry (content addressing
+        makes racing adopters byte-identical).
+        """
+        landed = self._land(key, entry, files.__getitem__)
         with self._manifest_lock():
             manifest = self._read_manifest()
-            manifest.setdefault(key, entry)
+            manifest.setdefault(key, landed)
             self._write_manifest(manifest)
-        return directory
+        return self.root / key
 
     def merge_from(
         self,
@@ -694,19 +647,16 @@ class ArtifactStore:
         functions of their content-hashed config, so duplicate keys
         hold identical content by construction).  ``keys`` restricts
         adoption to a wanted set, so a reused shard directory cannot
-        leak a previous campaign's artifacts into this one.  Document
-        files are copied byte-for-byte (preserving
-        :meth:`content_hash` equality), each source document is
-        re-hashed against the digest its entry recorded at ``put`` time
-        — a corrupt shard store fails the merge loudly with the
-        offending key instead of poisoning the merged store — and each
-        source contributes one manifest update, not one per key.
+        leak a previous campaign's artifacts into this one.  Keys land
+        through :meth:`adopt`'s gate, so the exact bytes are copied
+        (preserving :meth:`content_hash` equality) and a corrupt shard
+        fails the merge loudly, naming the key and the source store.
+        All adopted keys share one manifest update, not one per key.
         Returns the newly adopted keys in adoption order.
         """
         if isinstance(others, ArtifactStore):
             others = [others]
         wanted = None if keys is None else set(keys)
-        adopted: list[str] = []
         staged: dict[str, dict] = {}
         present = set(self._read_manifest())
         for other in others:
@@ -716,49 +666,27 @@ class ArtifactStore:
                     continue
                 if wanted is not None and key not in wanted:
                     continue
-                entry = dict(other_manifest[key])
-                names = entry.get("documents")
-                if names is None:
-                    names = sorted(
-                        p.stem for p in (other.root / key).glob("*.json")
+                source = other.root / key
+                try:
+                    staged[key] = self._land(
+                        key,
+                        other_manifest[key],
+                        lambda name: (source / f"{name}.json").read_bytes(),
                     )
-                    entry["documents"] = names
-                digests = entry.get(DIGESTS_KEY)
-                digests = digests if isinstance(digests, Mapping) else {}
-                directory = self.root / key
-                directory.mkdir(exist_ok=True)
-                for name in names:
-                    source = other.root / key / f"{name}.json"
-                    if not source.exists():
-                        raise StoreCorruptionError(
-                            f"artifact {key!r} in {other.root} lists "
-                            f"document {name!r} but {source} is missing; "
-                            "re-run that shard or delete the entry"
-                        )
-                    data = source.read_bytes()
-                    recorded = digests.get(name)
-                    if recorded is not None:
-                        actual = hashlib.sha256(data).hexdigest()
-                        if actual != recorded:
-                            raise StoreCorruptionError(
-                                f"artifact {key!r} document {name!r} in "
-                                f"{other.root} is corrupt: recorded sha256 "
-                                f"{recorded[:12]}… but bytes hash to "
-                                f"{actual[:12]}…; repair that shard store "
-                                "before merging"
-                            )
-                    atomic_write_text(
-                        directory / f"{name}.json", data.decode()
-                    )
-                staged[key] = entry
-                adopted.append(key)
+                except (StoreCorruptionError, ValueError,
+                        FileNotFoundError) as exc:
+                    raise StoreCorruptionError(
+                        f"artifact {key!r} in {other.root} cannot be "
+                        f"merged: {exc}; repair that shard store before "
+                        "merging"
+                    ) from exc
         if staged:
             with self._manifest_lock():
                 manifest = self._read_manifest()
                 for key, entry in staged.items():
                     manifest.setdefault(key, entry)
                 self._write_manifest(manifest)
-        return adopted
+        return list(staged)
 
     def content_hash(self) -> str:
         """Order-independent digest of every stored document's bytes.

@@ -269,10 +269,10 @@ def run_manifest(
     Three fault-tolerance hooks harden the loop:
 
     * resumed keys are *audited*, not trusted: each passes
-      :meth:`ArtifactStore.verify` (document files present, readable,
-      digests matching) before it counts as cached, and a key that
-      fails the audit is deleted and recomputed (``audit_resume=False``
-      restores the old trusting behaviour);
+      :meth:`ArtifactStore.verify` (digests recorded, document files
+      present, readable, digests matching) before it counts as cached,
+      and a key that fails the audit is deleted and recomputed
+      (``audit_resume=False`` restores the old trusting behaviour);
     * the revocation sidecar next to the manifest (see
       :func:`revoked_path_for`; ``revoked_path`` overrides it) is
       consulted before every cell, so chains the coordinator stole or

@@ -232,6 +232,28 @@ class TestResumeAudit:
         assert ArtifactStore(store_root).content_hash() == clean_hash
         assert ArtifactStore(store_root).verify().ok
 
+    def test_pre_digest_cell_is_recomputed_on_resume(self, tmp_path):
+        """A stored key whose entry predates per-document digests fails
+        the audit like a corrupt one: it is recomputed, not trusted."""
+        configs = fast_matrix()
+        campaign = ScenarioCampaign(configs)
+        (manifest,) = campaign.shard_manifests(tmp_path / "shards", 1)
+        store_root = tmp_path / "shard-store"
+        first = run_manifest(manifest, store_root, echo=None)
+        clean_hash = ArtifactStore(store_root).content_hash()
+        victim = first["computed"][0]
+        manifest_path = store_root / "manifest.json"
+        entries = json.loads(manifest_path.read_text())
+        entries[victim].pop("sha256")
+        entries[victim].pop("documents")
+        manifest_path.write_text(json.dumps(entries))
+
+        summary = run_manifest(manifest, store_root, echo=None)
+        assert summary["audit_failed"] == (victim,)
+        assert victim in summary["computed"]
+        assert ArtifactStore(store_root).content_hash() == clean_hash
+        assert ArtifactStore(store_root).verify().ok
+
     def test_audit_can_be_disabled(self, tmp_path):
         configs = fast_matrix()
         campaign = ScenarioCampaign(configs)

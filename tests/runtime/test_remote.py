@@ -22,7 +22,12 @@ from repro.runtime.remote import (
     TransportTimeoutError,
     read_sync_state,
 )
-from repro.runtime.store import DIGESTS_KEY, MANIFEST_NAME, ArtifactStore
+from repro.runtime.store import (
+    DIGESTS_KEY,
+    MANIFEST_NAME,
+    ArtifactStore,
+    StoreCorruptionError,
+)
 
 DOCS = {"config": {"seed": 1, "patterns": ["a"]}, "a": {"values": [1.0, 2.0]}}
 
@@ -245,20 +250,42 @@ class TestPushPullSync:
         assert remote_as_store.verify().ok
 
 
-class TestUndigestedTransfer:
-    def test_push_backfills_digests_for_legacy_entries(self, tmp_path):
+def _strip_digests(root, key):
+    """Rewrite ``key``'s entry in the format that predates digests."""
+    manifest_path = root / MANIFEST_NAME
+    manifest = json.loads(manifest_path.read_text())
+    manifest[key].pop(DIGESTS_KEY)
+    manifest[key].pop("documents")
+    manifest_path.write_text(json.dumps(manifest))
+
+
+class TestPreDigestTransfer:
+    def test_push_raises_before_anything_moves(self, tmp_path):
         syncer, _ = make_syncer(tmp_path)
         syncer.local.put("legacy", DOCS)
-        manifest_path = syncer.local.root / "manifest.json"
-        manifest = json.loads(manifest_path.read_text())
-        manifest["legacy"].pop(DIGESTS_KEY)
-        manifest["legacy"].pop("documents")
-        manifest_path.write_text(json.dumps(manifest))
-        assert syncer.push().pushed == ["legacy"]
-        remote = json.loads(
-            (tmp_path / "remote" / MANIFEST_NAME).read_text()
+        syncer.local.put("modern", DOCS)
+        _strip_digests(syncer.local.root, "legacy")
+        with pytest.raises(StoreCorruptionError, match="'legacy' predates"):
+            syncer.push()
+        assert not (tmp_path / "remote" / MANIFEST_NAME).exists()
+
+    def test_pull_reports_the_key_and_lands_the_rest(self, tmp_path):
+        src, _ = make_syncer(tmp_path)
+        src.local.put("legacy", DOCS)
+        src.local.put("modern", DOCS)
+        src.push()
+        _strip_digests(tmp_path / "remote", "legacy")
+        dst = RemoteStore(
+            ArtifactStore(tmp_path / "dst"),
+            LocalDirTransport(tmp_path / "remote"),
+            echo=None,
         )
-        assert sorted(remote["legacy"][DIGESTS_KEY]) == ["a", "config"]
+        report = dst.pull()
+        assert report.pulled == ["modern"]
+        assert list(report.failed) == ["legacy"]
+        assert "predates" in report.failed["legacy"]
+        assert dst.local.keys() == ["modern"] and dst.local.verify().ok
+        assert not (dst.local.root / "legacy").exists()
 
 
 class TestFaultConvergence:

@@ -309,81 +309,120 @@ class TestVerify:
         with pytest.raises(KeyError, match="unknown"):
             store.verify(keys=["unknown"])
 
-    def test_legacy_entry_without_digests_still_checked(self, store):
-        # Entries written before digests/document lists existed: the
-        # files on disk are the truth — presence and JSON validity are
-        # still audited, byte digests and strays are not.
-        store.put("k1", DOCS)
-        manifest_path = store.root / "manifest.json"
-        manifest = json.loads(manifest_path.read_text())
-        manifest["k1"].pop("sha256", None)
-        manifest["k1"].pop("documents", None)
-        manifest_path.write_text(json.dumps(manifest))
-        assert store.verify().ok
-        (store.root / "k1" / "a.json").write_text("not json")
-        report = store.verify()
-        (problem,) = report.problems
-        assert problem.kind == "unreadable"
 
-
-def _strip_digests(store, key):
-    """Rewrite ``key``'s entry as a pre-PR7 manifest would have it."""
+def _strip_digests(store, key, fields=(DIGESTS_KEY, "documents")):
+    """Rewrite ``key``'s entry in the format that predates digests."""
     manifest_path = store.root / "manifest.json"
     manifest = json.loads(manifest_path.read_text())
-    manifest[key].pop(DIGESTS_KEY, None)
-    manifest[key].pop("documents", None)
+    for name in fields:
+        manifest[key].pop(name, None)
     manifest_path.write_text(json.dumps(manifest))
 
 
-class TestUndigested:
-    def test_verify_reports_undigested_without_failing(self, store):
+class TestBadEntries:
+    """An entry without a document list and digests, or naming paths
+    outside its directory, is corrupt everywhere."""
+
+    @pytest.mark.parametrize(
+        "fields", [(DIGESTS_KEY, "documents"), (DIGESTS_KEY,), ("documents",)]
+    )
+    def test_verify_reports_a_problem_naming_the_key(self, store, fields):
         store.put("legacy", DOCS)
         store.put("modern", DOCS)
-        _strip_digests(store, "legacy")
+        _strip_digests(store, "legacy", fields)
         report = store.verify()
-        assert report.ok  # unauditable is not corrupt
-        assert report.undigested == ["legacy"]
+        assert not report.ok
+        (problem,) = report.problems
+        assert (problem.key, problem.document, problem.kind) == (
+            "legacy", "*", "bad-entry"
+        )
+        assert "predates" in problem.detail
+        assert store.verify(keys=["modern"]).ok
 
-    def test_record_digests_backfills_and_closes_the_gap(self, store):
-        store.put("legacy", DOCS)
-        _strip_digests(store, "legacy")
-        assert store.record_digests() == ["legacy"]
-        report = store.verify()
-        assert report.ok and report.undigested == []
-        entry = store.meta("legacy")
-        assert sorted(entry["documents"]) == ["a", "config"]
-        # Backfill recorded the true bytes: tampering is now detectable.
-        (store.root / "legacy" / "a.json").write_text('{"values": [9]}')
-        assert store.verify().bad_keys() == ["legacy"]
-
-    def test_record_digests_never_rewrites_existing_entries(self, store):
-        store.put("modern", DOCS)
-        before = (store.root / "manifest.json").read_bytes()
-        assert store.record_digests() == []
-        assert (store.root / "manifest.json").read_bytes() == before
-
-    def test_record_digests_refuses_corrupt_bytes(self, store):
-        store.put("legacy", DOCS)
-        _strip_digests(store, "legacy")
-        (store.root / "legacy" / "a.json").write_text('{"torn')
-        with pytest.raises(StoreCorruptionError, match="refusing"):
-            store.record_digests()
-
-    def test_record_digests_refuses_missing_file(self, store):
-        # Entry still lists its documents (only the digests are gone):
-        # a listed-but-absent file is corruption, not backfillable.
-        store.put("legacy", DOCS)
+    def test_one_document_without_a_digest_is_a_problem(self, store):
+        store.put("k1", DOCS)
         manifest_path = store.root / "manifest.json"
         manifest = json.loads(manifest_path.read_text())
-        manifest["legacy"].pop(DIGESTS_KEY, None)
+        del manifest["k1"][DIGESTS_KEY]["a"]
         manifest_path.write_text(json.dumps(manifest))
-        (store.root / "legacy" / "a.json").unlink()
-        with pytest.raises(StoreCorruptionError, match="missing"):
-            store.record_digests()
+        assert store.verify().bad_keys() == ["k1"]
+        with pytest.raises(StoreCorruptionError, match="predates"):
+            store.get("k1")
 
-    def test_unknown_key_raises_keyerror(self, store):
-        with pytest.raises(KeyError):
-            store.record_digests(keys=["nope"])
+    def test_repair_drops_the_entry_and_its_files(self, store):
+        store.put("legacy", DOCS)
+        store.put("modern", DOCS)
+        _strip_digests(store, "legacy")
+        repaired = store.repair()
+        assert repaired.dropped == ["legacy"]
+        assert sorted(repaired.removed_files) == [
+            "legacy/a.json", "legacy/config.json"
+        ]
+        assert store.keys() == ["modern"]
+        assert store.verify().ok
+        store.put("legacy", DOCS)  # recomputed under the current format
+        assert store.verify().ok
+
+    def test_reads_raise_naming_the_key(self, store):
+        store.put("legacy", DOCS)
+        _strip_digests(store, "legacy")
+        for read in (store.get, store.document_names):
+            with pytest.raises(StoreCorruptionError, match="'legacy' predates"):
+                read("legacy")
+        with pytest.raises(StoreCorruptionError, match="predates"):
+            store.content_hash()
+
+    def test_merge_raises_naming_key_and_source(self, tmp_path):
+        a = ArtifactStore(tmp_path / "a")
+        b = ArtifactStore(tmp_path / "b")
+        b.put("legacy", DOCS)
+        _strip_digests(b, "legacy")
+        with pytest.raises(StoreCorruptionError, match="predates") as info:
+            a.merge_from(b)
+        assert "'legacy'" in str(info.value) and str(b.root) in str(info.value)
+        assert a.keys() == [] and not (a.root / "legacy").exists()
+
+    def test_unsafe_document_name_is_refused_on_read(self, store):
+        store.put("k1", DOCS)
+        (store.root / "x.json").write_text('{"outside": 1}')
+        manifest_path = store.root / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["k1"] = {"documents": ["../x"], DIGESTS_KEY: {"../x": "0"}}
+        manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(ValueError, match="document name"):
+            store.get("k1")
+
+    def test_repair_never_touches_files_outside_the_root(self, tmp_path):
+        # A crafted ".." key and a document name escaping its key
+        # directory are bad entries: repair drops them and deletes no
+        # file outside their artifact directories.
+        store = ArtifactStore(tmp_path / "a" / "store")
+        store.put("k1", DOCS)
+        outside = [tmp_path / "a" / "x.json", store.root / "x.json"]
+        for path in outside:
+            path.write_text('{"outside": 1}')
+        manifest_path = store.root / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest[".."] = {"documents": ["x"], DIGESTS_KEY: {"x": "0" * 64}}
+        manifest["k2"] = {
+            "documents": ["../x"], DIGESTS_KEY: {"../x": "0" * 64}
+        }
+        manifest_path.write_text(json.dumps(manifest))
+        report = store.verify()
+        assert sorted((p.key, p.kind) for p in report.problems) == [
+            ("..", "bad-entry"), ("k2", "bad-entry")
+        ]
+        repaired = store.repair(report)
+        assert repaired.dropped == ["..", "k2"]
+        assert repaired.removed_files == []
+        assert all(path.exists() for path in outside)
+        assert store.keys() == ["k1"] and store.verify().ok
+
+    def test_adopt_refuses_the_entry(self, store):
+        data = b'{"seed": 1}\n'
+        with pytest.raises(StoreCorruptionError, match="predates"):
+            store.adopt("k1", {"config": data}, {"documents": ["config"]})
+        assert "k1" not in store and not (store.root / "k1").exists()
 
 
 class TestRepair:
@@ -512,6 +551,18 @@ class TestMergeDigestVerification:
         (b.root / "k1" / "a.json").write_text('{"values": [9.0]}')
         with pytest.raises(StoreCorruptionError, match="repair"):
             a.merge_from(b)
+
+    def test_rejected_key_leaves_no_directory(self, tmp_path):
+        # The later of k1's two documents is corrupt: the earlier one
+        # must not have been written when the merge refuses the key.
+        a = ArtifactStore(tmp_path / "a")
+        b = ArtifactStore(tmp_path / "b")
+        b.put("k1", DOCS)
+        (b.root / "k1" / "config.json").write_text('{"seed": 9}')
+        with pytest.raises(StoreCorruptionError, match="'k1'"):
+            a.merge_from(b)
+        assert not (a.root / "k1").exists()
+        assert a.keys() == []
 
 
 class TestValidateKey:

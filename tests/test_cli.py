@@ -86,12 +86,16 @@ class TestParser:
             with pytest.raises(SystemExit):  # --remote is required
                 parser.parse_args(["store", verb, "local"])
 
-    def test_store_verify_and_digest_flags(self):
+    def test_store_verify_flags(self):
         parser = build_parser()
-        args = parser.parse_args(["store", "verify", "d", "--repair"])
-        assert args.repair
-        args = parser.parse_args(["store", "digest", "d0", "d1"])
-        assert args.stores == ["d0", "d1"]
+        args = parser.parse_args(["store", "verify", "d0", "d1", "--repair"])
+        assert args.repair and args.stores == ["d0", "d1"]
+
+    def test_store_digest_is_not_a_verb(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            build_parser().parse_args(["store", "digest", "d0"])
+        assert info.value.code == 2
+        assert "invalid choice: 'digest'" in capsys.readouterr().err
 
     def test_figures_accept_workers(self):
         args = build_parser().parse_args(["fig16", "--fast", "--workers", "2"])
@@ -301,7 +305,9 @@ class TestStoreMaintenance:
         assert code == 2
         assert "error" in capsys.readouterr().err
 
-    def test_digest_backfills_undigested_store(self, capsys, tmp_path):
+    def test_verify_flags_pre_digest_entries_and_repair_drops_them(
+        self, capsys, tmp_path
+    ):
         import json as json_module
 
         store = self._store(tmp_path)
@@ -311,12 +317,13 @@ class TestStoreMaintenance:
             entry.pop("sha256", None)
             entry.pop("documents", None)
         manifest_path.write_text(json_module.dumps(manifest))
+        assert main(["store", "verify", str(store.root)]) == 1
+        out = capsys.readouterr().out
+        assert "CORRUPT" in out and "2 problem(s)" in out
+        assert "k1/*: bad-entry" in out and "predates" in out
+        assert main(["store", "verify", str(store.root), "--repair"]) == 0
+        assert "repaired: dropped 2" in capsys.readouterr().out
         assert main(["store", "verify", str(store.root)]) == 0
-        assert "2 undigested key(s)" in capsys.readouterr().out
-        assert main(["store", "digest", str(store.root)]) == 0
-        assert "recorded digests for 2 key(s)" in capsys.readouterr().out
-        assert main(["store", "verify", str(store.root)]) == 0
-        assert "undigested" not in capsys.readouterr().out
 
     def test_verify_repair_drops_corruption_and_exits_clean(
         self, capsys, tmp_path
