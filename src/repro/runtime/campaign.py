@@ -18,15 +18,17 @@ machine boundaries.
 
 The scenario and serving layers share the config-level pieces too:
 :class:`Campaign` (configs to cells, executor, shard manifests, one
-runner pass), :func:`config_cells`, :func:`config_batch_executor`,
-:func:`chain_configs` and :func:`axis_seed`.
+runner pass), :func:`config_cells`, :func:`config_fields`,
+:func:`config_batch_executor`, :func:`chain_configs` and
+:func:`axis_seed`.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Any, Callable, Mapping, Sequence
 
@@ -45,6 +47,7 @@ __all__ = [
     "chain_configs",
     "config_batch_executor",
     "config_cells",
+    "config_fields",
 ]
 
 
@@ -266,6 +269,23 @@ class Campaign:
         return run_wrapping_corruption(self.runner)
 
 
+@functools.cache
+def _field_names(cls: type) -> tuple[str, ...]:
+    return tuple(f.name for f in fields(cls))
+
+
+def config_fields(config) -> dict[str, Any]:
+    """A config dataclass as one flat ``{field name: value}`` dict.
+
+    Every field of a campaign config is a JSON scalar, so this equals
+    :func:`dataclasses.asdict` without its recursion and deep copies;
+    it is what cell payloads and config ids hash.  A nested dataclass
+    field would stay an object here, and hashing it through
+    :func:`~repro.runtime.cell.content_id` would raise.
+    """
+    return {name: getattr(config, name) for name in _field_names(type(config))}
+
+
 def config_cells(configs: Sequence, fn: str, key: Callable[[Any], str]) -> list[Cell]:
     """Configs as cells running ``fn``, keyed by ``key`` (a content hash).
 
@@ -274,7 +294,12 @@ def config_cells(configs: Sequence, fn: str, key: Callable[[Any], str]) -> list[
     executor.
     """
     return [
-        Cell(fn=fn, payload=asdict(config), key=key(config), after=config.predecessor)
+        Cell(
+            fn=fn,
+            payload=config_fields(config),
+            key=key(config),
+            after=config.predecessor,
+        )
         for config in configs
     ]
 

@@ -207,6 +207,17 @@ def atomic_write_bytes(path: Path, data: bytes) -> None:
     is fsynced after the rename, so the rename itself is durable.
     """
     path = Path(path)
+    _replace_file(path, data)
+    _fsync_directory(path.parent)
+
+
+def _replace_file(path: Path, data: bytes) -> None:
+    """Temp file + fsync + rename, leaving the directory fsync to the caller.
+
+    :func:`atomic_write_bytes` syncs the directory after each file;
+    :meth:`ArtifactStore.put` and :meth:`ArtifactStore._land` rename
+    every document of an artifact first and sync its directory once.
+    """
     fd, tmp_name = tempfile.mkstemp(
         prefix=f".{path.name}.", suffix=".tmp", dir=path.parent
     )
@@ -222,7 +233,6 @@ def atomic_write_bytes(path: Path, data: bytes) -> None:
         except OSError:
             pass
         raise
-    _fsync_directory(path.parent)
 
 
 def atomic_write_text(path: Path, text: str) -> None:
@@ -244,6 +254,13 @@ def _fsync_directory(directory: Path) -> None:
         os.close(fd)
 
 
+def _prune_stale(directory: Path, keep) -> None:
+    """Unlink the ``*.json`` documents in ``directory`` not named in ``keep``."""
+    for stale in directory.glob("*.json"):
+        if stale.stem not in keep:
+            stale.unlink()
+
+
 def _canonical_json(payload) -> str:
     """The one JSON rendering the store ever writes.
 
@@ -255,7 +272,17 @@ def _canonical_json(payload) -> str:
 
 
 class ArtifactStore:
-    """Directory-backed store of named JSON documents per artifact key."""
+    """Directory-backed store of named JSON documents per artifact key.
+
+    Reads are the hot path of a rerun campaign, so a document read is
+    one ``open()`` of a string path built from the root string cached
+    at construction, then one ``json.loads``: no ``exists()`` probe
+    and no pathlib join.  The key and document names are validated
+    (:func:`validate_key`, then :func:`entry_documents`) before any
+    path is built, and a file that has gone missing behind the
+    manifest's back surfaces as :class:`StoreCorruptionError` naming
+    the key and the path.
+    """
 
     #: Test-only seam for the chaos harness: when set (by
     #: :mod:`repro.runtime.chaos`), called as ``hook(key)`` after an
@@ -267,6 +294,7 @@ class ArtifactStore:
     def __init__(self, root: str | Path) -> None:
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
+        self._root_prefix = os.path.join(os.fspath(self.root), "")
         self._manifest_path = self.root / MANIFEST_NAME
         if not self._manifest_path.exists():
             self._write_manifest({})
@@ -335,6 +363,11 @@ class ArtifactStore:
         missing files.  The canonical sha256 of every document is
         recorded in the manifest entry under :data:`DIGESTS_KEY`, which
         is what :meth:`verify` audits disk bytes against.
+
+        The artifact directory is fsynced once, after every document
+        is renamed into place and stale files are pruned, and before
+        the manifest entry is written: one sync makes all the renames
+        and unlinks durable.
         """
         validate_key(key)
         if not documents:
@@ -347,16 +380,15 @@ class ArtifactStore:
         directory.mkdir(exist_ok=True)
         digests: dict[str, str] = {}
         for name, payload in documents.items():
-            text = _canonical_json(payload)
-            digests[name] = hashlib.sha256(text.encode()).hexdigest()
-            atomic_write_text(directory / f"{name}.json", text)
+            data = _canonical_json(payload).encode("utf-8")
+            digests[name] = hashlib.sha256(data).hexdigest()
+            _replace_file(directory / f"{name}.json", data)
         # Drop documents a previous version of the key wrote but this
         # one does not: the directory must mirror the manifest entry.
         # (Concurrent writers of the same key write the identical
         # content-addressed set, so this never removes a peer's work.)
-        for stale in directory.glob("*.json"):
-            if stale.stem not in documents:
-                stale.unlink()
+        _prune_stale(directory, documents)
+        _fsync_directory(directory)
         if type(self)._chaos_put_hook is not None:
             type(self)._chaos_put_hook(key)
         entry = dict(meta or {})
@@ -373,20 +405,35 @@ class ArtifactStore:
             self._write_manifest(manifest)
         return directory
 
-    def document_names(self, key: str) -> list[str]:
-        """Names of the documents stored under ``key``."""
-        return list(entry_documents(key, self.meta(key))[0])
+    def _read_document_bytes(self, key: str, name: str) -> bytes:
+        """One document's bytes, for a validated key and document name.
 
-    def _read_document_file(self, key: str, name: str) -> dict:
-        """Read one document file, assuming the key is manifested."""
-        path = self.root / key / f"{name}.json"
-        if not path.exists():
+        One ``open()`` of a string path and no ``exists()`` probe: a
+        missing file (or a directory in its place) is reported as
+        :class:`StoreCorruptionError` naming the key and the path.  A
+        plain file where the artifact directory should be reads as a
+        missing document, as a missing directory does.
+        """
+        path = f"{self._root_prefix}{key}{os.sep}{name}.json"
+        try:
+            with open(path, "rb") as handle:
+                return handle.read()
+        except (FileNotFoundError, NotADirectoryError):
             raise StoreCorruptionError(
                 f"artifact {key!r} is in the manifest but its document "
                 f"{path} is missing; the store is corrupt — delete the "
                 "manifest entry or restore the files"
-            )
-        return json.loads(path.read_text())
+            ) from None
+        except IsADirectoryError:
+            raise StoreCorruptionError(
+                f"artifact {key!r} is in the manifest but its document "
+                f"{path} is a directory; the store is corrupt — delete "
+                "the manifest entry or restore the files"
+            ) from None
+
+    def _read_document_file(self, key: str, name: str) -> dict:
+        """Read one document file, assuming the key is manifested."""
+        return json.loads(self._read_document_bytes(key, name).decode("utf-8"))
 
     def read_document(self, key: str, name: str) -> dict:
         """Load one named document of a stored artifact."""
@@ -582,7 +629,9 @@ class ArtifactStore:
         document's bytes (``fetch(name)``) to match the entry's sha256
         and parse as JSON.  Only then are the exact bytes written and
         unlisted files pruned, so a refused key leaves nothing behind.
-        The caller records the returned entry in the manifest.
+        As in :meth:`put`, the artifact directory is fsynced once,
+        after every rename and prune.  The caller records the returned
+        entry in the manifest.
         """
         validate_key(key)
         names, digests = entry_documents(key, entry)
@@ -607,10 +656,9 @@ class ArtifactStore:
         directory = self.root / key
         directory.mkdir(exist_ok=True)
         for name, data in files.items():
-            atomic_write_bytes(directory / f"{name}.json", data)
-        for stale in directory.glob("*.json"):
-            if stale.stem not in files:
-                stale.unlink()
+            _replace_file(directory / f"{name}.json", data)
+        _prune_stale(directory, files)
+        _fsync_directory(directory)
         return dict(entry)
 
     def adopt(
@@ -695,11 +743,14 @@ class ArtifactStore:
         executor, worker count, or shard partitioning that produced
         them — report the same hash, which is how the executor
         equivalence suite (and a cautious operator) verifies a merge.
+        One manifest snapshot names every key's documents, so the cost
+        is linear in the store's size.
         """
+        manifest = self._read_manifest()
         digest = hashlib.sha256()
-        for key in self.keys():
-            for name in self.document_names(key):
-                path = self.root / key / f"{name}.json"
+        for key in sorted(manifest):
+            validate_key(key)
+            for name in entry_documents(key, manifest[key])[0]:
                 digest.update(f"{key}/{name}\n".encode())
-                digest.update(path.read_bytes())
+                digest.update(self._read_document_bytes(key, name))
         return digest.hexdigest()

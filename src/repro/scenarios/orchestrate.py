@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from operator import attrgetter
 from typing import Mapping
 
@@ -49,6 +49,7 @@ from repro.runtime.campaign import (
     chain_configs,
     config_batch_executor,
     config_cells,
+    config_fields,
 )
 from repro.runtime.cell import Cell, content_id
 from repro.scenarios.generate import (
@@ -182,7 +183,7 @@ class ScenarioConfig:
         populated (``deadline_slack``, ``predecessor``) are dropped
         from the hash, so pre-existing caches stay warm.
         """
-        payload_dict = asdict(self)
+        payload_dict = config_fields(self)
         if self.deadline_slack == 0.0:
             payload_dict.pop("deadline_slack")
         if self.predecessor is None:

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from operator import attrgetter
 from typing import Mapping
 
@@ -41,6 +41,7 @@ from repro.runtime.campaign import (
     chain_configs,
     config_batch_executor,
     config_cells,
+    config_fields,
 )
 from repro.runtime.cell import Cell, content_id
 from repro.serving.arrivals import (
@@ -182,7 +183,7 @@ class ServingConfig:
     @property
     def serving_id(self) -> str:
         """Content hash of the config: the repository cache key."""
-        payload_dict = asdict(self)
+        payload_dict = config_fields(self)
         if self.predecessor is None:
             payload_dict.pop("predecessor")
         return content_id("srv", payload_dict)

@@ -9,7 +9,7 @@ piece is checked here for both cell kinds where it serves both.
 
 import hashlib
 import json
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from operator import attrgetter
 
 import pytest
@@ -22,6 +22,7 @@ from repro.runtime.campaign import (
     chain_configs,
     config_batch_executor,
     config_cells,
+    config_fields,
 )
 from repro.runtime.cell import Cell, cell_key, content_id
 from repro.scenarios import (
@@ -161,6 +162,58 @@ class TestConfigCells:
         assert [cell.after for cell in cells] == [None, key(links[0])]
         for cell, link in zip(cells, links):
             assert type(head)(**cell.payload) == link
+
+
+#: Per cell kind: the id prefix and the default fields its id drops.
+ID_DROPS = {
+    ScenarioConfig: ("scn", {"deadline_slack": 0.0, "predecessor": None}),
+    ServingConfig: ("srv", {"predecessor": None}),
+}
+
+
+def _flat_config_population():
+    """Every config shape that reaches ``config_cells``."""
+    configs = []
+    for head, chain, *_ in KINDS.values():
+        configs += [type(head)(), head, *chain(head, 3)]
+    configs += scenario_matrix(seed=0, chain_length=2)
+    configs += scenario_matrix(seed=4, deadline_slack=1.5)
+    configs += serving_matrix(seed=0, chain_length=2)
+    return configs
+
+
+class TestConfigFields:
+    def test_equals_asdict_for_every_config_shape(self):
+        # The flat dict is only a faster asdict while every field is a
+        # JSON scalar; a nested field added later fails here first.
+        configs = _flat_config_population()
+        assert {type(c) for c in configs} == set(ID_DROPS)
+        assert any(c.predecessor is not None for c in configs)
+        assert any(c.predecessor is None for c in configs)
+        for config in configs:
+            assert config_fields(config) == asdict(config)
+
+    def test_ids_and_payloads_match_the_asdict_reference(self):
+        for config in _flat_config_population():
+            prefix, drops = ID_DROPS[type(config)]
+            reference = asdict(config)
+            for name, default in drops.items():
+                if reference[name] == default:
+                    reference.pop(name)
+            key = config.scenario_id if prefix == "scn" else config.serving_id
+            assert key == content_id(prefix, reference)
+            (cell,) = config_cells([config], "m:f", lambda c: key)
+            assert cell.payload == asdict(config)
+
+    def test_a_nested_field_fails_the_hash_loudly(self):
+        @dataclass(frozen=True)
+        class Nested:
+            inner: _Toy
+
+        flat = config_fields(Nested(_Toy(1)))
+        assert flat["inner"] == _Toy(1)
+        with pytest.raises(TypeError):
+            content_id("x", flat)
 
 
 @dataclass(frozen=True)

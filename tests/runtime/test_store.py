@@ -12,6 +12,7 @@ from repro.runtime.store import (
     ArtifactStore,
     StoreCorruptionError,
     atomic_write_text,
+    entry_documents,
     validate_key,
 )
 
@@ -76,6 +77,65 @@ class TestPutGet:
         (store.root / "k1" / "a.json").unlink()
         with pytest.raises(StoreCorruptionError, match="k1"):
             store.read_document("k1", "a")
+
+    def test_get_opens_each_document_once_without_probing(
+        self, store, monkeypatch
+    ):
+        import repro.runtime.store as store_module
+        from pathlib import Path
+
+        store.put("k1", DOCS)
+        opened, probed = [], []
+        real_exists = Path.exists
+
+        def counting_open(path, mode="r", *args, **kwargs):
+            opened.append((path, mode))
+            return open(path, mode, *args, **kwargs)
+
+        def recording_exists(self, *args, **kwargs):
+            probed.append(self)
+            return real_exists(self, *args, **kwargs)
+
+        monkeypatch.setattr(store_module, "open", counting_open, raising=False)
+        monkeypatch.setattr(Path, "exists", recording_exists)
+        documents = store.get("k1")
+        monkeypatch.undo()
+        assert documents == DOCS
+        assert probed == []
+        root = str(store.root)
+        assert sorted(opened) == [
+            (os.path.join(root, "k1", "a.json"), "rb"),
+            (os.path.join(root, "k1", "config.json"), "rb"),
+        ]
+
+    def test_missing_document_names_key_and_path(self, store):
+        store.put("k1", DOCS)
+        path = store.root / "k1" / "a.json"
+        path.unlink()
+        with pytest.raises(StoreCorruptionError) as info:
+            store.get("k1")
+        assert "'k1'" in str(info.value)
+        assert f"{path} is missing" in str(info.value)
+
+    def test_directory_in_place_of_a_document_is_corruption(self, store):
+        store.put("k1", DOCS)
+        path = store.root / "k1" / "a.json"
+        path.unlink()
+        path.mkdir()
+        with pytest.raises(StoreCorruptionError, match="is a directory"):
+            store.get("k1")
+
+    def test_file_in_place_of_the_artifact_directory_is_corruption(
+        self, store
+    ):
+        store.put("k1", DOCS)
+        directory = store.root / "k1"
+        for path in directory.iterdir():
+            path.unlink()
+        directory.rmdir()
+        directory.write_text("{}")
+        with pytest.raises(StoreCorruptionError, match="missing"):
+            store.get("k1")
 
     def test_delete_tolerates_manifest_only_entry(self, store):
         manifest = {"ghost": {"documents": ["config"]}}
@@ -165,6 +225,71 @@ class TestDurability:
         assert store.get("k1") == DOCS
 
 
+class TestDirectoryFsync:
+    """Each artifact directory is fsynced once, before its manifest entry."""
+
+    @pytest.fixture
+    def events(self, store, monkeypatch):
+        import repro.runtime.store as store_module
+        from pathlib import Path
+
+        events = []
+        real_write_manifest = ArtifactStore._write_manifest
+        real_unlink = Path.unlink
+
+        def write_manifest(self, manifest):
+            events.append(("manifest",))
+            real_write_manifest(self, manifest)
+
+        def unlink(self, *args, **kwargs):
+            events.append(("unlink", self.name))
+            real_unlink(self, *args, **kwargs)
+
+        monkeypatch.setattr(
+            store_module, "_fsync_directory",
+            lambda directory: events.append(("fsync", Path(directory))),
+        )
+        monkeypatch.setattr(ArtifactStore, "_write_manifest", write_manifest)
+        monkeypatch.setattr(Path, "unlink", unlink)
+        return events
+
+    def test_put_syncs_the_artifact_directory_once(self, store, events):
+        docs = {f"part{i}": {"i": i} for i in range(4)}
+        store.put("k1", docs)
+        assert events == [
+            ("fsync", store.root / "k1"),
+            ("manifest",),
+            ("fsync", store.root),
+        ]
+        assert store.get("k1") == docs
+
+    def test_stale_unlinks_precede_the_directory_sync(self, store, events):
+        store.put("k1", DOCS)
+        events.clear()
+        store.put("k1", {"config": {"seed": 2}}, overwrite=True)
+        assert events == [
+            ("unlink", "a.json"),
+            ("fsync", store.root / "k1"),
+            ("manifest",),
+            ("fsync", store.root),
+        ]
+
+    def test_adopt_syncs_the_artifact_directory_once(
+        self, tmp_path, store, events
+    ):
+        source = ArtifactStore(tmp_path / "source")
+        events.clear()
+        source.put("k1", DOCS)
+        events.clear()
+        store.merge_from(source)
+        assert events == [
+            ("fsync", store.root / "k1"),
+            ("manifest",),
+            ("fsync", store.root),
+        ]
+        assert store.content_hash() == source.content_hash()
+
+
 class TestConcurrentWriters:
     def test_parallel_puts_lose_no_manifest_entries(self, tmp_path):
         # Two writers racing on one store (e.g. a resumed worker beside
@@ -242,6 +367,37 @@ class TestMergeAndHash:
         assert a.content_hash() == b.content_hash()
         b.delete("k1")
         assert a.content_hash() != b.content_hash()
+
+    def test_content_hash_reads_the_manifest_once(self, store, monkeypatch):
+        for i in range(200):
+            store.put(f"k{i:03d}", {"config": {"seed": i}, "a": {"i": [i]}})
+
+        def reference():
+            # The per-key algorithm: every key re-reads its entry.
+            digest = hashlib.sha256()
+            for key in store.keys():
+                for name in entry_documents(key, store.meta(key))[0]:
+                    digest.update(f"{key}/{name}\n".encode())
+                    digest.update((store.root / key / f"{name}.json").read_bytes())
+            return digest.hexdigest()
+
+        expected = reference()
+        reads = []
+        real = ArtifactStore._read_manifest
+
+        def counting(self):
+            reads.append(1)
+            return real(self)
+
+        monkeypatch.setattr(ArtifactStore, "_read_manifest", counting)
+        assert store.content_hash() == expected
+        assert len(reads) == 1
+
+    def test_content_hash_names_a_missing_document(self, store):
+        store.put("k1", DOCS)
+        (store.root / "k1" / "a.json").unlink()
+        with pytest.raises(StoreCorruptionError, match="'k1'.*missing"):
+            store.content_hash()
 
 
 class TestVerify:
@@ -366,9 +522,8 @@ class TestBadEntries:
     def test_reads_raise_naming_the_key(self, store):
         store.put("legacy", DOCS)
         _strip_digests(store, "legacy")
-        for read in (store.get, store.document_names):
-            with pytest.raises(StoreCorruptionError, match="'legacy' predates"):
-                read("legacy")
+        with pytest.raises(StoreCorruptionError, match="'legacy' predates"):
+            store.get("legacy")
         with pytest.raises(StoreCorruptionError, match="predates"):
             store.content_hash()
 

@@ -248,6 +248,24 @@ class TestScenarioCampaign:
         with pytest.raises(RepositoryCorruptionError, match=victim):
             ScenarioCampaign(configs, repository=repo, workers=1).run()
 
+    def test_warm_rerun_names_the_key_and_the_missing_path(self, tmp_path):
+        from repro.measurement import RepositoryCorruptionError
+
+        configs = fast_matrix()
+        repo = TraceRepository(tmp_path)
+        ScenarioCampaign(configs, repository=repo).run()
+        victim = configs[-1].scenario_id
+        path = repo.root / victim / "slowdowns.json"
+        path.unlink()
+        with pytest.raises(RepositoryCorruptionError) as info:
+            ScenarioCampaign(configs, repository=repo).run()
+        assert repr(victim) in str(info.value)
+        assert f"{path} is missing" in str(info.value)
+        # A directory where the document was must raise, not read.
+        path.mkdir()
+        with pytest.raises(RepositoryCorruptionError, match=victim):
+            ScenarioCampaign(configs, repository=repo).run()
+
     def test_validation(self):
         with pytest.raises(ValueError):
             ScenarioCampaign([])
