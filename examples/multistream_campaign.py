@@ -15,9 +15,10 @@ calls — the identity this example asserts before printing a speedup.
 Two entry points are shown:
 
 1. the raw runner — build ``StreamTask``s, call ``run_streams``;
-2. the campaign form — ``ScenarioCampaign(configs,
-   executor=batch_executor())`` runs a whole cached scenario matrix
-   through the same machinery (chained cells fall back to serial).
+2. the campaign form — ``ScenarioCampaign(configs)`` runs a whole
+   cached scenario matrix through the same machinery by default
+   (chained cells run one at a time), checked here against
+   ``SerialExecutor``.
 
 Run with:  python examples/multistream_campaign.py
 """
@@ -28,12 +29,9 @@ import numpy as np
 
 from repro.bench.hotpath import _MS_BUCKET
 from repro.netmodel import TokenBucketModel
+from repro.runtime import SerialExecutor
 from repro.scenarios.generate import job_stream, poisson_arrivals
-from repro.scenarios.orchestrate import (
-    ScenarioCampaign,
-    ScenarioConfig,
-    batch_executor,
-)
+from repro.scenarios.orchestrate import ScenarioCampaign, ScenarioConfig
 from repro.simulator import Cluster, NodeSpec, SparkEngine
 from repro.simulator.multistream import StreamTask, run_streams
 
@@ -87,7 +85,7 @@ def raw_runner() -> None:
 
 
 def campaign_form() -> None:
-    print(f"\n-- campaign form: ScenarioCampaign + batch_executor() --")
+    print(f"\n-- campaign form: ScenarioCampaign, batched by default --")
     configs = [
         ScenarioConfig(
             n_nodes=2,
@@ -100,10 +98,8 @@ def campaign_form() -> None:
         )
         for i in range(N_CELLS)
     ]
-    serial = ScenarioCampaign(configs).run().results
-    batched = (
-        ScenarioCampaign(configs, executor=batch_executor()).run().results
-    )
+    serial = ScenarioCampaign(configs, executor=SerialExecutor()).run().results
+    batched = ScenarioCampaign(configs).run().results
     assert serial.keys() == batched.keys()
     for key, a in serial.items():
         b = batched[key]

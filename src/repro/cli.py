@@ -49,7 +49,7 @@ __all__ = [
 
 def make_runtime_parent(
     workers_default: int = 1,
-    workers_help: str = "process-pool size for pending cells (default: 1, serial)",
+    workers_help: str = "process-pool size for pending cells (default: 1, in-process)",
     seed_default: int | None = 0,
     seed_help: str = "base RNG seed (default: 0)",
     store_help: str = (
@@ -784,7 +784,7 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[
             make_runtime_parent(
                 workers_help="process-pool size for pending cells "
-                "(default: 1, serial; results are identical at any count)",
+                "(default: 1, in-process; results are identical at any count)",
                 seed_help="matrix base seed (default: 0)",
                 store_help="campaign store directory (a TraceRepository); "
                 "completed cells are cached there (default: no store)",
@@ -870,7 +870,7 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[
             make_runtime_parent(
                 workers_help="process-pool size for this shard's cells "
-                "(default: 1, serial)",
+                "(default: 1, in-process)",
                 seed_default=None,
                 seed_help="accepted for CLI consistency; ignored — every "
                 "cell's seed is pinned in the shard manifest",
@@ -927,7 +927,7 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[
             make_runtime_parent(
                 workers_help="process-pool size inside each shard worker "
-                "(default: 1, serial — required for exact blame "
+                "(default: 1, in-process — required for exact blame "
                 "attribution)",
                 seed_help="seed for deterministic relaunch jitter "
                 "(default: 0; never touches cell results)",

@@ -13,7 +13,7 @@ from repro.netmodel.stochastic import UniformQuantileSamplingModel
 from repro.netmodel.token_bucket import TokenBucketModel, TokenBucketParams
 from repro.runtime.campaign import CampaignRunner
 from repro.runtime.cell import Cell
-from repro.runtime.executors import ProcessPoolExecutor, SerialExecutor
+from repro.runtime.executors import BatchExecutor, ProcessPoolExecutor
 from repro.simulator.cluster import Cluster
 
 __all__ = [
@@ -40,7 +40,7 @@ def run_replay_cells(
     distinct (they are content-hashed into cell keys).
     """
     cells = [Cell(fn=fn_ref, payload=payload) for payload in payloads]
-    executor = SerialExecutor() if workers <= 1 else ProcessPoolExecutor(workers)
+    executor = BatchExecutor() if workers <= 1 else ProcessPoolExecutor(workers)
     outcome = CampaignRunner(cells, executor=executor).run()
     return [outcome.results[cell.key] for cell in cells]
 

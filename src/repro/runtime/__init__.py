@@ -17,6 +17,8 @@ scenario sweeps (:mod:`repro.scenarios`), serving sweeps
   temp-written, fsynced, and renamed into place);
 * executors (:mod:`repro.runtime.executors`) —
   :class:`~repro.runtime.executors.SerialExecutor`,
+  :class:`~repro.runtime.executors.BatchExecutor` (the in-process
+  default, lockstep batches of independent cells),
   :class:`~repro.runtime.executors.ProcessPoolExecutor` (chunked), and
   :class:`~repro.runtime.executors.ShardExecutor`, which partitions a
   matrix into per-machine shard manifests executed by
@@ -61,7 +63,9 @@ is boring.  The assumptions and guarantees, from the bottom up:
   failures present.
 * *Poison cells cost their chain, not the campaign.*  Each worker
   death is blamed on the first unfinished cell (exact, because workers
-  execute serially in manifest order); a cell exhausting its retry
+  land cells in manifest order, rerun a failing batch one cell at a
+  time, and after a death mid-batch run one cell at a time, that
+  death charging no cell); a cell exhausting its retry
   budget is quarantined into ``failures.json`` with its chained
   successors as ``blocked``, and
   :func:`~repro.runtime.worker.merge_stores` refuses such stores
@@ -117,6 +121,7 @@ from repro.runtime.coordinator import (
     run_campaign,
 )
 from repro.runtime.executors import (
+    BatchExecutor,
     ExecutionAborted,
     ProcessPoolExecutor,
     SerialExecutor,
@@ -164,6 +169,7 @@ __all__ = [
     "CampaignOutcome",
     "CampaignRunner",
     "Cell",
+    "BatchExecutor",
     "CellExecutionError",
     "ExecutionAborted",
     "FAILURES_NAME",

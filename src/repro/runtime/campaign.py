@@ -19,8 +19,7 @@ machine boundaries.
 The scenario and serving layers share the config-level pieces too:
 :class:`Campaign` (configs to cells, executor, shard manifests, one
 runner pass), :func:`config_cells`, :func:`config_fields`,
-:func:`config_batch_executor`, :func:`chain_configs` and
-:func:`axis_seed`.
+:func:`chain_configs` and :func:`axis_seed`.
 """
 
 from __future__ import annotations
@@ -34,7 +33,7 @@ from typing import Any, Callable, Mapping, Sequence
 
 from repro.obs.provenance import PROVENANCE_KEY
 from repro.runtime.cell import Cell, resolve_ref
-from repro.runtime.executors import BatchExecutor, ProcessPoolExecutor, SerialExecutor
+from repro.runtime.executors import BatchExecutor, ProcessPoolExecutor
 from repro.runtime.store import ArtifactStore
 from repro.runtime.worker import write_shard_manifests
 
@@ -45,7 +44,6 @@ __all__ = [
     "CampaignRunner",
     "axis_seed",
     "chain_configs",
-    "config_batch_executor",
     "config_cells",
     "config_fields",
 ]
@@ -93,7 +91,11 @@ class CampaignOutcome:
 
 
 class CampaignRunner:
-    """Run a cell matrix through an executor, caching via a store."""
+    """Run a cell matrix through an executor, caching via a store.
+
+    ``executor`` defaults to a
+    :class:`~repro.runtime.executors.BatchExecutor`.
+    """
 
     def __init__(
         self,
@@ -115,7 +117,7 @@ class CampaignRunner:
         self.cells = list(cells)
         self.store = store
         self.codec = codec
-        self.executor = executor if executor is not None else SerialExecutor()
+        self.executor = executor if executor is not None else BatchExecutor()
 
     def run(self) -> CampaignOutcome:
         """Execute pending cells, reload cached ones."""
@@ -212,7 +214,8 @@ class Campaign:
     A thin front end over :class:`CampaignRunner`: cells store as they
     complete, so an interrupted sweep keeps its finished work.
     ``executor`` overrides the strategy derived from ``workers``
-    (serial for 1, a chunked process pool otherwise); use
+    (the batching single-process executor for 1, a chunked process
+    pool otherwise); use
     :meth:`shard_manifests` with the ``repro worker`` / ``repro merge``
     CLI for multi-machine runs.  Subclasses set :attr:`codec` and
     :attr:`make_cells`.
@@ -230,7 +233,7 @@ class Campaign:
             raise ValueError("workers must be >= 1")
         if executor is None:
             executor = (
-                SerialExecutor() if workers == 1 else ProcessPoolExecutor(workers)
+                BatchExecutor() if workers == 1 else ProcessPoolExecutor(workers)
             )
         self.configs = list(configs)
         self.cells = self.make_cells(self.configs)
@@ -302,22 +305,6 @@ def config_cells(configs: Sequence, fn: str, key: Callable[[Any], str]) -> list[
         )
         for config in configs
     ]
-
-
-def config_batch_executor(
-    config_cls: type, run_batched: Callable, batch_size: int = 32
-) -> BatchExecutor:
-    """A :class:`~repro.runtime.executors.BatchExecutor` for config cells.
-
-    Its runner rebuilds each cell's config from the payload and runs the
-    batch with ``run_batched(configs, upstreams)``.
-    """
-
-    def run_payloads(payloads: list[Mapping], upstreams: list) -> list:
-        configs = [config_cls(**payload) for payload in payloads]
-        return run_batched(configs, upstreams)
-
-    return BatchExecutor(run_payloads, batch_size=batch_size)
 
 
 def chain_configs(base, length: int, key: Callable[[Any], str]) -> list:

@@ -17,9 +17,13 @@ expendable:
 * **Retries with backoff + quarantine** — a dead or failing worker is
   relaunched with exponential backoff and deterministic jitter; the
   *blamed* cell (the first unfinished one in manifest order — exact,
-  because workers execute serially in manifest order) gets one retry
-  charged.  A cell that exhausts ``max_retries`` is *quarantined*:
-  revoked from the shard, recorded in the shard store's
+  because workers land cells in manifest order and rerun a failing
+  batch one cell at a time) gets one retry charged.  A worker killed
+  mid-batch died with every cell of the batch running, so that death
+  charges no cell: it leaves the batch in the store's in-flight
+  record, and the relaunch, finding it, runs one cell at a time, where
+  a death is exact again.  A cell that exhausts ``max_retries`` is
+  *quarantined*: revoked from the shard, recorded in the shard store's
   ``failures.json`` with its chained successors as ``blocked``
   casualties, and the campaign continues without it — one poison cell
   costs its chain, never the campaign.
@@ -71,6 +75,7 @@ from repro.runtime.worker import (
     FAILURES_NAME,
     MANIFEST_SCHEMA,
     merge_stores,
+    read_in_flight,
     read_revoked,
     read_shard_manifest,
     write_failures,
@@ -321,6 +326,8 @@ class _Slot:
     launches: int = 0
     deaths: int = 0
     steals: int = 0
+    #: The worker found an in-flight record, so it runs one cell at a time.
+    one_at_a_time: bool = False
     next_launch_unix_s: float = 0.0
     idle_logged: bool = field(default=False, repr=False)
 
@@ -498,6 +505,7 @@ def run_campaign(
 
     def launch(slot: _Slot) -> None:
         slot.launches += 1
+        slot.one_at_a_time = read_in_flight(slot.store_root) is not None
         slot.worker_id = f"w{slot.index}-a{slot.launches}"
         cmd = [
             python,
@@ -612,6 +620,15 @@ def run_campaign(
             deaths=slot.deaths,
         )
         blame = first_unfinished(slot)
+        if (
+            blame is not None
+            and not slot.one_at_a_time
+            and read_in_flight(slot.store_root) is not None
+        ):
+            # Killed mid-batch: any cell of the batch may be the
+            # culprit.  The relaunch runs them one at a time instead.
+            log.log("cell_retry_deferred", shard=slot.index, cell=blame)
+            blame = None
         if blame is not None:
             attempts[blame] = attempts.get(blame, 0) + 1
             if attempts[blame] > max_retries:

@@ -1,12 +1,17 @@
 """Pluggable executors: how a set of cells turns into results.
 
-Three strategies cover the campaign scales the paper argues for:
+Four strategies cover the campaign scales the paper argues for:
 
 * :class:`SerialExecutor` — one cell at a time, in submission order;
   the reference semantics everything else must match bit-for-bit.
+* :class:`BatchExecutor` — the single-process default: the serial
+  loop, but runs of independent cells whose function declares a
+  batched form advance together in lockstep
+  (:mod:`repro.simulator.multistream`), bit-identically.
 * :class:`ProcessPoolExecutor` — a chunked :mod:`multiprocessing`
-  pool (the PR 3 policy: ``min(workers, n)`` processes, ~4 chunks per
-  worker so large matrices stop paying one IPC round-trip per cell).
+  pool (``min(workers, n)`` processes, ~4 chunks per worker so large
+  matrices stop paying one IPC round-trip per cell); at one worker it
+  is the :class:`BatchExecutor`.
   Results are emitted as they arrive so the caller can persist them
   incrementally — a killed sweep keeps its finished cells.
 * :class:`ShardExecutor` — campaign-level sharding across *machines*:
@@ -42,11 +47,12 @@ import subprocess
 import sys
 import tempfile
 import time
+import warnings
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
 from repro.obs.provenance import cell_provenance
-from repro.runtime.cell import Cell, execute_cell_graph, order_cells
+from repro.runtime.cell import Cell, execute_cell_graph, order_cells, resolve_ref
 from repro.runtime.store import ArtifactStore
 
 __all__ = [
@@ -147,17 +153,137 @@ def _component_tasks(
     return tasks
 
 
+def _upstream_of(cell: Cell, results: Mapping[str, object]) -> object:
+    """A chained cell's predecessor result; ``None`` for an independent one."""
+    if cell.after is None:
+        return None
+    if cell.after not in results:
+        raise ValueError(
+            f"cell {cell.key!r} needs predecessor "
+            f"{cell.after!r}, which is neither pending nor "
+            "available as a cached upstream result"
+        )
+    return results[cell.after]
+
+
+def _run_cell(
+    cell: Cell,
+    results: dict[str, object],
+    emit: EmitFn,
+    on_provenance: Callable[[str, dict], None] | None,
+) -> None:
+    """Run one cell, record its result and provenance, emit it."""
+    upstream = _upstream_of(cell, results)
+    t0 = time.perf_counter()
+    result = cell.run() if cell.after is None else cell.run(upstream)
+    results[cell.key] = result
+    if on_provenance is not None:
+        on_provenance(
+            cell.key, cell_provenance(time.perf_counter() - t0, result)
+        )
+    emit(cell, result, False)
+
+
+def _before_cell(cell: Cell) -> None:
+    """Fire the armed chaos injector's per-cell hook, if any."""
+    from repro.runtime import chaos
+
+    monkey = chaos.active_injector()
+    if monkey is not None:
+        monkey.before_cell(cell.key)
+
+
+def _run_batch(
+    form: Callable | None,
+    cells: Sequence[Cell],
+    results: dict[str, object],
+    emit: EmitFn,
+    on_provenance: Callable[[str, dict], None] | None,
+    in_flight: Callable[[Sequence[str]], None] | None = None,
+) -> None:
+    """Run ``cells`` through their batched ``form``, else one at a time.
+
+    A batch that raises is rerun one cell at a time, so the cells
+    before the failing one land and the error raised is the failing
+    cell's own — exactly what a serial run leaves behind.  When every
+    cell then succeeds alone, the serial results stand and a
+    :class:`RuntimeWarning` reports that the batched form diverged.
+    An injected chaos fault lands the cells before it one at a time,
+    then re-raises.  A batch's per-cell provenance is its wall clock
+    split evenly: the cells advance in lockstep, so no finer
+    attribution exists.
+
+    ``in_flight(keys)`` is told the keys of a lockstep batch before
+    its first chaos hook fires, and ``in_flight(())`` once the batch
+    has returned or raised: a process that dies in between died with
+    all of ``keys`` running, so no single culprit is known.
+    """
+    if form is None or len(cells) < 2:
+        for cell in cells:
+            _before_cell(cell)
+            _run_cell(cell, results, emit, on_provenance)
+        return
+    if in_flight is not None:
+        in_flight([cell.key for cell in cells])
+    for index, cell in enumerate(cells):
+        try:
+            _before_cell(cell)
+        except Exception:
+            # The injected fault is this cell's: land the cells before
+            # it, as a one-at-a-time run would.
+            if in_flight is not None:
+                in_flight(())
+            for done in cells[:index]:
+                _run_cell(done, results, emit, on_provenance)
+            raise
+    upstreams = [_upstream_of(cell, results) for cell in cells]
+    t0 = time.perf_counter()
+    try:
+        batch_results = form([cell.payload for cell in cells], upstreams)
+    except Exception as exc:
+        batch_results = None
+        error = exc
+    finally:
+        if in_flight is not None:
+            in_flight(())
+    share = (time.perf_counter() - t0) / len(cells)
+    if batch_results is None:
+        for cell in cells:
+            _run_cell(cell, results, emit, on_provenance)
+        warnings.warn(
+            f"the batched form of {cells[0].fn} raised {error!r} on "
+            f"{len(cells)} cells from {cells[0].key!r}, which all ran "
+            "alone; their serial results stand",
+            RuntimeWarning,
+            stacklevel=2,
+        )
+        return
+    if len(batch_results) != len(cells):
+        raise ValueError(
+            f"batched form returned {len(batch_results)} results "
+            f"for {len(cells)} cells"
+        )
+    for cell, result in zip(cells, batch_results):
+        results[cell.key] = result
+        if on_provenance is not None:
+            on_provenance(cell.key, cell_provenance(share, result))
+        emit(cell, result, False)
+
+
 class SerialExecutor:
     """Run cells one at a time in the current process.
 
-    Because cells execute strictly in dependency order, this executor
-    supports the runtime's two between-cell control hooks exactly:
-    ``should_stop()`` is consulted before every cell (abandon the rest
-    of the shard — lease lost), and ``skip(cell)`` revokes a cell just
-    before it would run (the coordinator stole its chain).  A skipped
-    cell's chained successors are skipped transitively — a chain is
-    revoked whole — and each lands one ``on_skip(cell)`` callback so
-    the caller can account for it.
+    The reference engine: cells execute strictly in dependency order,
+    so this executor supports the runtime's two between-cell control
+    hooks exactly: ``should_stop()`` is consulted before every cell
+    (abandon the rest of the shard — lease lost), and ``skip(cell)``
+    revokes a cell just before it would run (the coordinator stole its
+    chain).  A skipped cell's chained successors are skipped
+    transitively — a chain is revoked whole — and each lands one
+    ``on_skip(cell)`` callback so the caller can account for it.
+
+    :class:`BatchExecutor` runs the same loop over multi-cell batches;
+    here every batch is a single cell.
     """
 
     def run(
@@ -169,160 +295,114 @@ class SerialExecutor:
         skip: Callable[[Cell], bool] | None = None,
         should_stop: Callable[[], bool] | None = None,
         on_skip: Callable[[Cell], None] | None = None,
+        in_flight: Callable[[Sequence[str]], None] | None = None,
         **_: object,
     ) -> None:
-        from repro.runtime import chaos
-
         results: dict[str, object] = dict(upstream or {})
         skipped: set[str] = set()
-        for cell in order_cells(cells):
-            if should_stop is not None and should_stop():
-                raise ExecutionAborted(
-                    f"execution stopped before cell {cell.key!r}"
-                )
-            if (cell.after in skipped) or (
-                skip is not None and skip(cell)
-            ):
-                skipped.add(cell.key)
-                if on_skip is not None:
-                    on_skip(cell)
-                continue
-            monkey = chaos.active_injector()
-            if monkey is not None:
-                monkey.before_cell(cell.key)
-            t0 = time.perf_counter()
-            if cell.after is not None:
-                if cell.after not in results:
-                    raise ValueError(
-                        f"cell {cell.key!r} needs predecessor "
-                        f"{cell.after!r}, which is neither pending nor "
-                        "available as a cached upstream result"
-                    )
-                result = cell.run(results[cell.after])
-            else:
-                result = cell.run()
-            results[cell.key] = result
-            if on_provenance is not None:
-                on_provenance(
-                    cell.key,
-                    cell_provenance(time.perf_counter() - t0, result),
-                )
-            emit(cell, result, False)
-
-
-class BatchExecutor:
-    """Run independent cells in lockstep batches through a batch runner.
-
-    The opt-in single-process alternative to :class:`SerialExecutor`
-    for campaign matrices whose cells are small simulations: instead of
-    ``cell.run()`` one cell at a time, independent cells go to
-    ``batch_runner(payloads, upstreams)`` in groups of ``batch_size``,
-    which advances them together (see
-    :mod:`repro.simulator.multistream`) and returns one result per
-    payload — *bit-identical* to running the cells serially, just
-    cheaper, because per-step numpy dispatch amortizes across the
-    batch.  Both campaign layers build theirs with
-    :func:`repro.runtime.campaign.config_batch_executor`
-    (:func:`repro.scenarios.orchestrate.batch_executor`,
-    :func:`repro.serving.scenario.serving_batch_executor`).
-
-    Warm-fabric chains cannot run lockstep (a successor needs its
-    predecessor's *final* fabric), so multi-cell chain components fall
-    back to :class:`SerialExecutor` semantics after the batches, with
-    every batched result available as upstream context.  ``skip`` is
-    evaluated at dispatch (as in the pool executor), ``should_stop``
-    between batches, and chaos injection fires per cell before its
-    batch runs.
-
-    Per-cell provenance from a batch reports the batch's wall clock
-    split evenly across its cells — the batch advances cells in
-    lockstep, so no finer per-cell attribution exists.
-    """
-
-    def __init__(self, batch_runner: Callable, batch_size: int = 32) -> None:
-        if batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        self.batch_runner = batch_runner
-        self.batch_size = batch_size
-
-    def run(
-        self,
-        cells: Sequence[Cell],
-        emit: EmitFn,
-        upstream: Mapping[str, object] | None = None,
-        on_provenance: Callable[[str, dict], None] | None = None,
-        skip: Callable[[Cell], bool] | None = None,
-        should_stop: Callable[[], bool] | None = None,
-        on_skip: Callable[[Cell], None] | None = None,
-        **_: object,
-    ) -> None:
-        from repro.runtime import chaos
-
-        results: dict[str, object] = dict(upstream or {})
-        singles: list[Cell] = []
-        chained: list[Cell] = []
-        for component in cell_components(cells):
-            if len(component) == 1:
-                singles.extend(component)
-            else:
-                chained.extend(component)
-        if skip is not None:
-            kept = []
-            for cell in singles:
-                if skip(cell):
-                    if on_skip is not None:
-                        on_skip(cell)
-                else:
-                    kept.append(cell)
-            singles = kept
-        for start in range(0, len(singles), self.batch_size):
-            batch = singles[start : start + self.batch_size]
+        for batch, form in self._batches(order_cells(cells)):
             if should_stop is not None and should_stop():
                 raise ExecutionAborted(
                     f"execution stopped before cell {batch[0].key!r}"
                 )
-            monkey = chaos.active_injector()
-            if monkey is not None:
-                for cell in batch:
-                    monkey.before_cell(cell.key)
-            upstreams = []
+            live = []
             for cell in batch:
-                if cell.after is None:
-                    upstreams.append(None)
-                elif cell.after in results:
-                    upstreams.append(results[cell.after])
+                if (cell.after in skipped) or (
+                    skip is not None and skip(cell)
+                ):
+                    skipped.add(cell.key)
+                    if on_skip is not None:
+                        on_skip(cell)
                 else:
-                    raise ValueError(
-                        f"cell {cell.key!r} needs predecessor "
-                        f"{cell.after!r}, which is neither pending nor "
-                        "available as a cached upstream result"
-                    )
-            t0 = time.perf_counter()
-            batch_results = self.batch_runner(
-                [cell.payload for cell in batch], upstreams
-            )
-            wall = time.perf_counter() - t0
-            if len(batch_results) != len(batch):
-                raise ValueError(
-                    f"batch runner returned {len(batch_results)} results "
-                    f"for {len(batch)} cells"
-                )
-            share = wall / len(batch)
-            for cell, result in zip(batch, batch_results):
-                results[cell.key] = result
-                if on_provenance is not None:
-                    on_provenance(cell.key, cell_provenance(share, result))
-                emit(cell, result, False)
-        if chained:
-            SerialExecutor().run(
-                chained,
-                emit,
-                upstream=results,
-                on_provenance=on_provenance,
-                skip=skip,
-                should_stop=should_stop,
-                on_skip=on_skip,
-            )
+                    live.append(cell)
+            _run_batch(form, live, results, emit, on_provenance, in_flight)
+
+    def _batches(self, ordered: Sequence[Cell]):
+        """``(cells, batched form or None)`` groups, in run order."""
+        for cell in ordered:
+            yield [cell], None
+
+
+class BatchExecutor(SerialExecutor):
+    """Run independent cells in lockstep batches; the single-process default.
+
+    :class:`~repro.runtime.campaign.CampaignRunner`,
+    :class:`~repro.runtime.campaign.Campaign` at ``workers=1`` and
+    :class:`ProcessPoolExecutor` at ``workers=1`` (so ``run_manifest``,
+    ``repro worker`` and ``repro scenario --store``) all run this.
+
+    A cell function may declare a *batched form* as its ``batched``
+    attribute: ``fn.batched(payloads, upstreams)`` returns one result
+    per payload, bit-identical to ``fn(payload[, upstream])`` for each
+    (``run_scenario_payload.batched`` and ``run_serving_payload.batched``
+    advance their cells together through
+    :mod:`repro.simulator.multistream`).  Walking the cells in
+    dependency order, this executor gathers runs of consecutive
+    independent cells that share a batched form into batches of up to
+    ``batch_size`` and hands each to that form.  Warm-fabric chains
+    (a successor needs its predecessor's *final* fabric), cells whose
+    function has no batched form (the figure replay cells) and
+    one-cell batches run one at a time, exactly as under
+    :class:`SerialExecutor`, whose loop this is.
+
+    Because batches follow submission order, the cells stored when a
+    cell fails are exactly those a serial run would have stored: a
+    batch that raises is rerun one cell at a time (see
+    :func:`_run_batch`).  ``should_stop`` and ``skip`` are consulted
+    right before each batch runs, and chaos injection fires per cell
+    before its batch; a crash therefore loses at most one batch.  A
+    crash is not a raise, though: a process killed mid-batch dies with
+    every cell of the batch running.  ``in_flight(keys)`` hears each
+    batch's keys before it starts and ``in_flight(())`` after, so
+    :func:`~repro.runtime.worker.run_manifest` can record them and its
+    next run can go one cell at a time to find the culprit.
+    """
+
+    def __init__(self, batch_size: int = 32) -> None:
+        if batch_size < 1:
+            raise ValueError("batch_size must be >= 1")
+        self.batch_size = batch_size
+
+    def _batches(self, ordered: Sequence[Cell]):
+        chained = {
+            cell.key
+            for component in cell_components(ordered)
+            if len(component) > 1
+            for cell in component
+        }
+        forms: dict[str, Callable | None] = {}
+        batch: list[Cell] = []
+        form = None
+        for cell in ordered:
+            cell_form = None
+            if cell.key not in chained:
+                if cell.fn not in forms:
+                    forms[cell.fn] = _batched_form(cell.fn)
+                cell_form = forms[cell.fn]
+            if batch and (
+                cell_form is None
+                or cell_form is not form
+                or len(batch) == self.batch_size
+            ):
+                yield batch, form
+                batch = []
+            batch.append(cell)
+            form = cell_form
+        if batch:
+            yield batch, form
+
+
+def _batched_form(fn_ref: str) -> Callable | None:
+    """The ``batched`` attribute of the cell function ``fn_ref`` names.
+
+    A reference that does not resolve has no batched form; the cell
+    then runs alone and reports the error itself, in turn.
+    """
+    try:
+        fn = resolve_ref(fn_ref)
+    except (ImportError, AttributeError, TypeError, ValueError):
+        return None
+    return getattr(fn, "batched", None)
 
 
 class ProcessPoolExecutor:
@@ -347,10 +427,11 @@ class ProcessPoolExecutor:
         skip: Callable[[Cell], bool] | None = None,
         should_stop: Callable[[], bool] | None = None,
         on_skip: Callable[[Cell], None] | None = None,
+        in_flight: Callable[[Sequence[str]], None] | None = None,
         **_: object,
     ) -> None:
         if self.workers == 1 or len(cells) <= 1:
-            SerialExecutor().run(
+            BatchExecutor().run(
                 cells,
                 emit,
                 upstream=upstream,
@@ -358,6 +439,7 @@ class ProcessPoolExecutor:
                 skip=skip,
                 should_stop=should_stop,
                 on_skip=on_skip,
+                in_flight=in_flight,
             )
             return
         by_key = {cell.key: cell for cell in cells}

@@ -368,39 +368,37 @@ class ArtifactStore:
         is renamed into place and stale files are pruned, and before
         the manifest entry is written: one sync makes all the renames
         and unlinks durable.
+
+        The whole write holds the manifest lock, so one manifest parse
+        serves both the existence check and the new entry, and a
+        refused duplicate never touches the stored key's files.
         """
         validate_key(key)
         if not documents:
             raise ValueError(f"artifact {key!r} needs at least one document")
         for name in documents:
             validate_key(name, kind="document name")
-        if not overwrite and key in self:
-            raise ValueError(f"artifact {key!r} already stored")
-        directory = self.root / key
-        directory.mkdir(exist_ok=True)
-        digests: dict[str, str] = {}
-        for name, payload in documents.items():
-            data = _canonical_json(payload).encode("utf-8")
-            digests[name] = hashlib.sha256(data).hexdigest()
-            _replace_file(directory / f"{name}.json", data)
-        # Drop documents a previous version of the key wrote but this
-        # one does not: the directory must mirror the manifest entry.
-        # (Concurrent writers of the same key write the identical
-        # content-addressed set, so this never removes a peer's work.)
-        _prune_stale(directory, documents)
-        _fsync_directory(directory)
-        if type(self)._chaos_put_hook is not None:
-            type(self)._chaos_put_hook(key)
         entry = dict(meta or {})
         entry["documents"] = sorted(documents)
-        entry[DIGESTS_KEY] = digests
         with self._manifest_lock():
             manifest = self._read_manifest()
             if not overwrite and key in manifest:
-                # A concurrent writer won the race after our unlocked
-                # probe; its documents are identical (content
-                # addressing), so the refusal mirrors the serial case.
                 raise ValueError(f"artifact {key!r} already stored")
+            directory = self.root / key
+            directory.mkdir(exist_ok=True)
+            digests: dict[str, str] = {}
+            for name, payload in documents.items():
+                data = _canonical_json(payload).encode("utf-8")
+                digests[name] = hashlib.sha256(data).hexdigest()
+                _replace_file(directory / f"{name}.json", data)
+            # Drop documents a previous version of the key wrote but
+            # this one does not: the directory must mirror the manifest
+            # entry.
+            _prune_stale(directory, documents)
+            _fsync_directory(directory)
+            if type(self)._chaos_put_hook is not None:
+                type(self)._chaos_put_hook(key)
+            entry[DIGESTS_KEY] = digests
             manifest[key] = entry
             self._write_manifest(manifest)
         return directory

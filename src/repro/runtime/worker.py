@@ -32,6 +32,7 @@ command line and only pays for its unfinished cells.
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
@@ -42,6 +43,7 @@ from repro.runtime.cell import Cell, resolve_ref
 from repro.runtime.executors import (
     ExecutionAborted,
     ProcessPoolExecutor,
+    SerialExecutor,
     partition_cells,
 )
 from repro.runtime.store import ArtifactStore, atomic_write_text
@@ -49,6 +51,7 @@ from repro.runtime.store import ArtifactStore, atomic_write_text
 __all__ = [
     "CellExecutionError",
     "FAILURES_NAME",
+    "IN_FLIGHT_NAME",
     "MANIFEST_SCHEMA",
     "write_shard_manifests",
     "read_shard_manifest",
@@ -57,6 +60,7 @@ __all__ = [
     "write_revoked",
     "read_failures",
     "write_failures",
+    "read_in_flight",
     "run_manifest",
     "merge_stores",
 ]
@@ -66,6 +70,11 @@ MANIFEST_SCHEMA = 1
 #: Per-shard failure report written by the coordinator into the shard
 #: *store* root (next to ``manifest.json``) when cells are quarantined.
 FAILURES_NAME = "failures.json"
+
+#: The keys of the lockstep batch a worker is running, written into the
+#: shard *store* root before the batch starts and removed when it ends.
+#: Left behind, it says the last worker died with all of them running.
+IN_FLIGHT_NAME = "in-flight.json"
 
 FAILURES_SCHEMA = 1
 REVOKED_SCHEMA = 1
@@ -87,7 +96,7 @@ def revoked_path_for(manifest_path: str | Path) -> Path:
 
     ``shards/shard-0.json`` pairs with ``shards/shard-0.revoked.json``;
     the coordinator appends stolen (and quarantined) cell keys there,
-    and the worker consults it before every cell, so a slow shard's
+    and the worker consults it before every batch, so a slow shard's
     stolen chains stop costing it wall-clock mid-run.
     """
     path = Path(manifest_path)
@@ -115,6 +124,22 @@ def write_revoked(path: str | Path, keys: Sequence[str]) -> None:
         )
         + "\n",
     )
+
+
+def read_in_flight(store_root: str | Path) -> list[str] | None:
+    """The lockstep batch a dead worker left running, or ``None``.
+
+    :func:`run_manifest` writes the record before each batch and
+    removes it after; one found at start means no single cell of it can
+    be blamed for the death, so that run goes one cell at a time.
+    """
+    try:
+        keys = json.loads((Path(store_root) / IN_FLIGHT_NAME).read_text())
+    except FileNotFoundError:
+        return None
+    except ValueError:
+        return []
+    return [str(key) for key in keys] if isinstance(keys, list) else []
 
 
 def read_failures(path: str | Path) -> dict | None:
@@ -259,12 +284,24 @@ def run_manifest(
 ) -> dict:
     """Execute a shard manifest into a local artifact store.
 
-    Already-stored keys are skipped (that is the resume path), pending
-    cells run serially or through a chunked process pool, and each
-    result is encoded and persisted the moment it completes — a crash
-    mid-shard therefore loses at most the cells in flight, never the
-    finished ones.  Returns a summary dict with ``computed`` /
-    ``cached`` / ``skipped`` / ``audit_failed`` key tuples.
+    Already-stored keys are skipped (that is the resume path), and each
+    result is encoded and persisted the moment it completes.  At one
+    worker, pending cells run through the
+    :class:`~repro.runtime.executors.BatchExecutor`: runs of
+    independent cells advance together in lockstep batches (chains run
+    one cell at a time), so a crash mid-shard loses at most one batch,
+    never the finished ones.  A batch that raises is rerun one cell at
+    a time, so the cells before the failing one are stored and the
+    error is the failing cell's own — the shard ends exactly where a
+    serial run would have.  A worker that *dies* mid-batch (killed,
+    out of memory) leaves the batch's keys in the store's
+    :data:`IN_FLIGHT_NAME` record; the next run finds it and runs its
+    cells one at a time through the
+    :class:`~repro.runtime.executors.SerialExecutor`, so a death there
+    is again the first unfinished cell's, and removes the record once
+    the shard completes.  More workers run a chunked process pool.
+    Returns a summary dict with ``computed`` / ``cached`` /
+    ``skipped`` / ``audit_failed`` key tuples.
 
     Three fault-tolerance hooks harden the loop:
 
@@ -275,10 +312,11 @@ def run_manifest(
       (``audit_resume=False`` restores the old trusting behaviour);
     * the revocation sidecar next to the manifest (see
       :func:`revoked_path_for`; ``revoked_path`` overrides it) is
-      consulted before every cell, so chains the coordinator stole or
-      quarantined are skipped — transitively, whole — instead of run;
+      consulted right before every batch (for chains, every cell), so
+      chains the coordinator stole or quarantined are skipped —
+      transitively, whole — instead of run;
     * ``should_stop()`` (wired to the lease heartbeat by the worker
-      CLI) is checked between cells; when it fires the executor raises
+      CLI) is checked between batches; when it fires the executor raises
       :class:`~repro.runtime.executors.ExecutionAborted` and the shard
       stops writing immediately.
 
@@ -451,8 +489,28 @@ def run_manifest(
         skipped.append(cell.key)
         log.log("cell_skipped", cell=cell.key, reason="revoked")
 
+    in_flight_file = store.root / IN_FLIGHT_NAME
+
+    def in_flight(keys: Sequence[str]) -> None:
+        # Not fsynced: the record has to outlive the worker process,
+        # not the machine.  Lost to a power cut, it costs one retry
+        # charged to the wrong cell of the batch.
+        if keys:
+            staging = in_flight_file.with_name(
+                f".{IN_FLIGHT_NAME}.{os.getpid()}.tmp"
+            )
+            staging.write_text(json.dumps(list(keys)))
+            os.replace(staging, in_flight_file)
+        else:
+            in_flight_file.unlink(missing_ok=True)
+
+    executor = ProcessPoolExecutor(workers)
+    died_mid_batch = read_in_flight(store.root)
+    if died_mid_batch is not None and workers == 1:
+        log.log("resume_one_at_a_time", cells=len(died_mid_batch))
+        executor = SerialExecutor()
     try:
-        ProcessPoolExecutor(workers).run(
+        executor.run(
             pending,
             emit,
             upstream=upstream,
@@ -460,6 +518,7 @@ def run_manifest(
             skip=live_skip,
             should_stop=should_stop,
             on_skip=on_skip,
+            in_flight=in_flight,
         )
     except (ExecutionAborted, KeyboardInterrupt, SystemExit):
         raise
@@ -469,6 +528,7 @@ def run_manifest(
         # above.  The original message is preserved verbatim so callers
         # matching on it keep working.
         raise CellExecutionError(str(exc)) from exc
+    in_flight_file.unlink(missing_ok=True)
     return {
         "shard": manifest.get("shard"),
         "n_shards": manifest.get("n_shards"),

@@ -9,7 +9,8 @@ cells it can afford to run, so the orchestrator makes cells cheap —
   can skip cells that already ran (re-running a sweep after adding one
   arrival rate only executes the new column);
 * pending cells run through a pluggable :mod:`repro.runtime` executor —
-  serial, a chunked ``multiprocessing`` pool, or per-machine shard
+  in-process batches through the lockstep multistream driver (the
+  default), a chunked ``multiprocessing`` pool, or per-machine shard
   manifests (``python -m repro worker``) — and each cell is a pure
   function of its config, so the execution strategy never changes the
   results, only the wall clock;
@@ -47,11 +48,11 @@ from repro.runtime.campaign import (
     CampaignOutcome,
     axis_seed,
     chain_configs,
-    config_batch_executor,
     config_cells,
     config_fields,
 )
 from repro.runtime.cell import Cell, content_id
+from repro.runtime.executors import BatchExecutor
 from repro.scenarios.generate import (
     RandomDagConfig,
     WorkloadMix,
@@ -542,13 +543,13 @@ def run_scenario_payload(
 ) -> ScenarioResult:
     """Cell function: reconstruct the config and run the scenario.
 
-    The module-global :func:`run_scenario` is looked up at call time
-    (not captured), so tests and instrumentation that patch it keep
-    working when cells execute in-process.  ``upstream`` is the
-    predecessor's decoded result for chained cells (the runtime passes
-    it when the cell's ``after`` is set); unchained cells call through
-    with the historical single-argument shape, so patches that take
-    only a config keep working.
+    ``upstream`` is the predecessor's decoded result for chained cells
+    (the runtime passes it when the cell's ``after`` is set).  Its
+    batched form, ``run_scenario_payload.batched``, is what the
+    default :class:`~repro.runtime.executors.BatchExecutor` runs for
+    independent cells; both forms build every cell through the
+    module-global :func:`prepare_scenario`, looked up at call time, so
+    a test that patches it reaches the cell on either path.
     """
     config = ScenarioConfig(**payload)
     if upstream is None:
@@ -556,19 +557,28 @@ def run_scenario_payload(
     return run_scenario(config, upstream=upstream)
 
 
-def batch_executor(batch_size: int = 32):
-    """A :class:`~repro.runtime.executors.BatchExecutor` wired for scenarios.
+def _run_scenario_payloads(payloads: list, upstreams: list) -> list:
+    """Batched form of :func:`run_scenario_payload`."""
+    configs = [ScenarioConfig(**payload) for payload in payloads]
+    return run_scenarios_batched(configs, upstreams)
 
-    Pass to :class:`ScenarioCampaign` (or a raw
-    :class:`~repro.runtime.campaign.CampaignRunner`) to run a matrix's
-    independent cells through the batched multistream engine::
 
-        ScenarioCampaign(configs, executor=batch_executor()).run()
+run_scenario_payload.batched = _run_scenario_payloads
 
-    Results — rows, checksums, cache keys — are bit-identical to the
-    serial default; only the wall clock changes.
+
+def batch_executor(batch_size: int = 32) -> BatchExecutor:
+    """A :class:`~repro.runtime.executors.BatchExecutor` for scenario cells.
+
+    The campaign default already batches scenario cells; this sets the
+    batch size::
+
+        ScenarioCampaign(configs, executor=batch_executor(8)).run()
+
+    Results — rows, checksums, cache keys — are bit-identical to
+    :class:`~repro.runtime.executors.SerialExecutor`; only the wall
+    clock changes.
     """
-    return config_batch_executor(ScenarioConfig, run_scenarios_batched, batch_size)
+    return BatchExecutor(batch_size)
 
 
 def encode_scenario_result(result: ScenarioResult) -> tuple[dict, dict]:

@@ -39,11 +39,11 @@ from repro.runtime.campaign import (
     Campaign,
     axis_seed,
     chain_configs,
-    config_batch_executor,
     config_cells,
     config_fields,
 )
 from repro.runtime.cell import Cell, content_id
+from repro.runtime.executors import BatchExecutor
 from repro.serving.arrivals import (
     diurnal_process,
     flash_crowd_process,
@@ -456,9 +456,22 @@ def run_serving_payload(
     return run_serving(ServingConfig(**payload), upstream=upstream)
 
 
-def serving_batch_executor(batch_size: int = 32):
-    """A :class:`~repro.runtime.executors.BatchExecutor` wired for serving."""
-    return config_batch_executor(ServingConfig, run_servings_batched, batch_size)
+def _run_serving_payloads(payloads: list, upstreams: list) -> list:
+    """Batched form of :func:`run_serving_payload`."""
+    configs = [ServingConfig(**payload) for payload in payloads]
+    return run_servings_batched(configs, upstreams)
+
+
+run_serving_payload.batched = _run_serving_payloads
+
+
+def serving_batch_executor(batch_size: int = 32) -> BatchExecutor:
+    """A :class:`~repro.runtime.executors.BatchExecutor` for serving cells.
+
+    The campaign default already batches serving cells; this sets the
+    batch size.
+    """
+    return BatchExecutor(batch_size)
 
 
 def encode_serving_result(result: ServingCellResult) -> tuple[dict, dict]:

@@ -6,7 +6,13 @@ dominated not by arithmetic but by numpy ufunc dispatch on tiny
 per-cell arrays — above all the shaper fleet's ``horizons`` and
 ``advance`` calls (a handful of vector ops over 4-16 links, paid per
 cell per step).  This module amortizes that dispatch across cells: the
-PR 3 struct-of-arrays trick applied one level up.
+struct-of-arrays trick applied one level up.
+
+This is the cold campaign path: the single-process executor
+(:class:`~repro.runtime.executors.BatchExecutor`, the default of
+``CampaignRunner``, ``Campaign(workers=1)`` and ``run_manifest`` at one
+worker) hands runs of independent scenario and serving cells to
+:func:`run_cells` through their cell functions' batched forms.
 
 :func:`run_streams` builds each cell's engine state exactly as
 :meth:`~repro.simulator.engine.SparkEngine.run_stream` would, then

@@ -1,8 +1,9 @@
 """Tests for the campaign pieces the DAG and serving sweeps share.
 
-Both sweep layers build their chains, matrix seeds, cells, batch
-executors and campaigns from :mod:`repro.runtime.campaign`, run batched
-cells through :func:`repro.simulator.multistream.run_cells`, and restore
+Both sweep layers build their chains, matrix seeds, cells and
+campaigns from :mod:`repro.runtime.campaign`, run batched cells through
+:func:`repro.simulator.multistream.run_cells` (their cell functions'
+batched forms), and restore
 warm fabrics through :func:`repro.netmodel.state.chained_models`; each
 piece is checked here for both cell kinds where it serves both.
 """
@@ -20,11 +21,10 @@ from repro.runtime.campaign import (
     CampaignRunner,
     axis_seed,
     chain_configs,
-    config_batch_executor,
     config_cells,
     config_fields,
 )
-from repro.runtime.cell import Cell, cell_key, content_id
+from repro.runtime.cell import Cell, cell_key, content_id, resolve_ref
 from repro.scenarios import (
     ScenarioCampaign,
     ScenarioConfig,
@@ -222,22 +222,21 @@ class _Toy:
     predecessor: str | None = None
 
 
-class TestConfigBatchExecutor:
-    def test_rebuilds_configs_and_runs_them_as_one_batch(self):
-        batches = []
-
-        def run_batched(configs, upstreams):
-            batches.append((list(configs), list(upstreams)))
-            return [config.value * 10 for config in configs]
-
-        toys = [_Toy(value) for value in (1, 2, 3)]
-        cells = config_cells(toys, "unused:fn", lambda toy: f"toy-{toy.value}")
-        runner = CampaignRunner(
-            cells, executor=config_batch_executor(_Toy, run_batched, batch_size=8)
+class TestBatchedForms:
+    def test_rebuilds_configs_and_matches_the_cell_function(self, kind):
+        head, chain, _, make_cells, _ = kind
+        configs = [replace(head, seed=head.seed + 1), chain(head, 2)[1]]
+        cells = make_cells(configs)
+        fn = resolve_ref(cells[0].fn)
+        upstream = fn(make_cells([head])[0].payload)
+        batched = fn.batched(
+            [cell.payload for cell in cells], [None, upstream]
         )
-        outcome = runner.run()
-        assert outcome.results == {"toy-1": 10, "toy-2": 20, "toy-3": 30}
-        assert batches == [(toys, [None, None, None])]
+        serial = [fn(cells[0].payload), fn(cells[1].payload, upstream)]
+        assert [r.config for r in batched] == configs
+        assert [r.aggregate_row() for r in batched] == [
+            r.aggregate_row() for r in serial
+        ]
 
 
 class _Row:

@@ -160,6 +160,52 @@ class TestKillConvergence:
         assert ArtifactStore(store_root).content_hash() == reference
 
 
+class TestKillMidBatch:
+    def test_the_killed_cell_is_blamed_not_the_batch_head(
+        self, tmp_path, chaos_env
+    ):
+        """SIGKILL at the third cell of a four-cell lockstep batch.
+
+        The first death strikes with all four cells in flight, so it
+        charges none of them; the relaunch runs one cell at a time and
+        dies at the same cell, which alone is charged and, with no
+        retries to spare, quarantined.  The other three cells land.
+        """
+        from repro.scenarios import ScenarioCampaign, scenario_matrix
+
+        configs = scenario_matrix(
+            providers=("amazon",), arrival_rates=(2.0,),
+            schedulers=("fifo", "fair"), workloads=("mixed", "tpch"),
+            seed=11, n_nodes=4, n_jobs=3, data_scale=0.05,
+        )
+        shard_dir = tmp_path / "shards"
+        (manifest,) = ScenarioCampaign(configs).shard_manifests(shard_dir, 1)
+        keys = [entry["key"] for entry in json.loads(
+            manifest.read_text())["cells"]]
+        assert len(keys) == 4
+        config = tmp_path / "chaos.json"
+        config.write_text(json.dumps({
+            "schema": 1,
+            "state_dir": str(tmp_path / "chaos-state"),
+            "kill_at_cell": {"index": 2, "times": 2},
+        }))
+        chaos_env(config)
+        lines = []
+        summary = _campaign(
+            shard_dir, tmp_path / "merged", max_retries=0,
+            allow_partial=True, echo=lines.append,
+        )
+        assert summary["deaths"] == 2
+        assert summary["quarantined"] == (keys[2],)
+        assert summary["blocked"] == ()
+        assert sorted(ArtifactStore(tmp_path / "merged").keys()) == sorted(
+            keys[:2] + keys[3:]
+        )
+        text = "\n".join(lines)
+        assert text.count("event=cell_retry_deferred") == 1
+        assert f"cell={keys[0]}" in text
+
+
 class TestFlakyRetry:
     def test_flaky_cell_survives_on_retry(
         self, tmp_path, demo_cells, chaos_env

@@ -40,6 +40,26 @@ class TestPutGet:
         store.put("k1", {"config": {"seed": 2}}, overwrite=True)
         assert store.get("k1") == {"config": {"seed": 2}}
 
+    def test_put_reads_the_manifest_once(self, store, monkeypatch):
+        store.put("k0", DOCS)
+        reads = []
+        real = ArtifactStore._read_manifest
+
+        def counting(self):
+            reads.append(1)
+            return real(self)
+
+        monkeypatch.setattr(ArtifactStore, "_read_manifest", counting)
+        store.put("k1", DOCS)
+        assert len(reads) == 1
+
+    def test_duplicate_names_the_key_and_leaves_it_untouched(self, store):
+        store.put("k1", DOCS)
+        with pytest.raises(ValueError, match="'k1' already stored"):
+            store.put("k1", {"config": {"seed": 9}})
+        assert store.get("k1") == DOCS
+        assert store.verify().ok
+
     def test_overwrite_drops_stale_documents(self, store):
         # The directory must mirror the manifest entry: a shrunken
         # overwrite may not leave the old version's files behind.
@@ -317,6 +337,35 @@ class TestConcurrentWriters:
         assert len(store.keys()) == 40
         for key in store.keys():
             store.get(key)
+
+
+    def test_worker_survives_losing_a_put_race(
+        self, tmp_path, monkeypatch, demo_cells
+    ):
+        # A peer worker on the same store (a shard relaunched while the
+        # original still runs) lands a cell first: the loser's put
+        # raises, the worker sees the key stored, and the shard goes on.
+        from demo_helpers import serial_reference_hash, write_demo_shards
+        from repro.runtime import run_manifest
+
+        (manifest,) = write_demo_shards(tmp_path / "shards", demo_cells, 1)
+        real_put = ArtifactStore.put
+        raced = []
+
+        def racing_put(self, key, documents, meta=None, overwrite=False):
+            if not raced:
+                raced.append(key)
+                real_put(ArtifactStore(self.root), key, documents, meta=meta)
+            return real_put(self, key, documents, meta=meta, overwrite=overwrite)
+
+        monkeypatch.setattr(ArtifactStore, "put", racing_put)
+        summary = run_manifest(manifest, tmp_path / "store", echo=None)
+        monkeypatch.undo()
+        assert raced[0] in summary["computed"]
+        assert len(summary["computed"]) == len(demo_cells)
+        assert ArtifactStore(tmp_path / "store").content_hash() == (
+            serial_reference_hash(tmp_path, demo_cells)
+        )
 
 
 class TestMergeAndHash:

@@ -181,18 +181,20 @@ class TestScenarioCampaign:
         # One diverging cell must not discard the cells computed before
         # it — they are stored as they arrive, so the re-run after a
         # fix only recomputes the broken cell.
+        # The fault sits in ``prepare_scenario``, which both the serial
+        # cell function and the batched form call.
         from repro.scenarios import orchestrate
 
         configs = fast_matrix()
         poison = configs[-1].scenario_id
-        real = orchestrate.run_scenario
+        real = orchestrate.prepare_scenario
 
-        def failing(config):
+        def failing(config, upstream=None):
             if config.scenario_id == poison:
                 raise RuntimeError("stream did not converge")
-            return real(config)
+            return real(config, upstream=upstream)
 
-        monkeypatch.setattr(orchestrate, "run_scenario", failing)
+        monkeypatch.setattr(orchestrate, "prepare_scenario", failing)
         repo = TraceRepository(tmp_path)
         with pytest.raises(RuntimeError):
             ScenarioCampaign(configs, repository=repo, workers=1).run()
