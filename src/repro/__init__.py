@@ -66,9 +66,9 @@ Uta et al., packaged as a reusable library:
 Performance architecture
 ------------------------
 
-The simulator is built as three speed layers, each gated bit-exact
-(identical RNG streams, identical IEEE-754 operation order) against
-the layer below by the golden trace and ``repro bench --check``:
+The simulator is built as two speed layers, both gated bit-exact
+(identical RNG streams, identical IEEE-754 operation order) by the
+golden trace and ``repro bench --check``:
 
 1. **Struct-of-arrays hot loops.**  The fabric keeps flows as
    parallel numpy arrays plus per-node flow lists (its water-filling
@@ -78,24 +78,19 @@ the layer below by the golden trace and ``repro bench --check``:
    :class:`~repro.netmodel.fleet.TokenBucketFleet`,
    :class:`~repro.netmodel.fleet.PerCoreQosFleet`, and friends — so a
    step costs a handful of array ops instead of a Python loop over
-   links.
-2. **Compiled kernels.**  :mod:`repro.simulator._kernels` JIT-compiles
-   the water-filling, completion-bound and flow-advance loops with
-   numba when the optional ``repro[jit]`` extra is installed; the
-   fabric's list-based reference (forced via ``REPRO_NO_JIT=1``, and
-   the default when numba is absent) runs the same algorithm
-   bit-identically for every flow count, and CI runs the whole tier-1
-   and bench suites on both legs.
-3. **Batched multi-stream execution.**
+   links.  Each hot loop has one implementation: a list loop for few
+   flows and numpy sweeps above ``_SWEEP_CUTOVER``.
+2. **Batched multi-stream execution.**
    :func:`repro.simulator.multistream.run_cores` stitches many
    independent cells' fleets into one concatenated super-fleet and
    advances all cells' event cores (DAG streams or serving) per
    lockstep round with a single ``horizons`` / ``advance`` call pair,
    ``advance`` taking one ``dt`` per link — the SoA trick applied
    across cells — which amortizes per-cell numpy dispatch and makes
-   million-cell campaign matrices cheap.  The campaign runtime exposes
-   it as an opt-in batch executor; per-cell results are byte-identical
-   to serial runs.
+   million-cell campaign matrices cheap.  The campaign runtime's
+   default single-process batch executor sends runs of independent
+   cells through it; per-cell results are byte-identical to serial
+   runs.
 
 Performance is measured by ``perfbench/`` (repeated fresh-process
 passes, calibrated host times, per-layer traces).

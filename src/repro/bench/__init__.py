@@ -13,7 +13,7 @@ exceeds ``--wall-tolerance`` times the recorded one.
 
 The repository's benchmark is ``perfbench/`` (repeated fresh-process
 passes, calibrated host times, per-layer traces); this gate stays only
-because it is CI's wall-time check on both jit legs.  See
+because it is CI's wall-time check.  See
 :mod:`repro.bench.hotpath` for the cases and the tier-1 tests that pin
 them.
 """

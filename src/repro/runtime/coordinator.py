@@ -39,7 +39,12 @@ expendable:
 Completion is judged against content, not process exit codes: the
 campaign is done when every manifest cell key is present in the union
 of the shard stores or quarantined/blocked, after which the stores are
-merged (refusing partial results unless ``allow_partial``).  Combined
+merged (refusing partial results unless ``allow_partial``).  A rerun
+on the same shard dir reloads its ``failures.json``, so an earlier
+quarantine stays resolved and is reported again.  A campaign that can
+make no progress — no worker running, none to launch or relaunch, no
+chain to steal, cells still unresolved — raises, naming the cells and
+the revocation files that hold them, instead of idling.  Combined
 with :mod:`repro.runtime.chaos`, the invariant under test everywhere
 is *convergence*: kill workers wherever you like and the merged store
 hash equals the serial run's.
@@ -74,7 +79,9 @@ from repro.runtime.store import ArtifactStore, atomic_write_text
 from repro.runtime.worker import (
     FAILURES_NAME,
     MANIFEST_SCHEMA,
+    _chain_closure,
     merge_stores,
+    read_failures,
     read_in_flight,
     read_revoked,
     read_shard_manifest,
@@ -353,20 +360,6 @@ def _stored_keys(store_root: Path) -> set[str]:
     return set(manifest)
 
 
-def _successors(key: str, cells: Sequence[Cell]) -> set[str]:
-    """Keys chained (transitively) after ``key`` within ``cells``."""
-    closed = {key}
-    changed = True
-    while changed:
-        changed = False
-        for cell in cells:
-            if cell.key not in closed and cell.after in closed:
-                closed.add(cell.key)
-                changed = True
-    closed.discard(key)
-    return closed
-
-
 def run_campaign(
     shard_dir: str | Path,
     prefix: str = "shard",
@@ -414,6 +407,13 @@ def run_campaign(
     failures degrade gracefully (the affected keys stay missing and
     are reported in ``summary["transport"]``); they never corrupt the
     merge.
+
+    A ``failures.json`` left in ``shard_dir`` by an earlier run seeds
+    the quarantined and blocked cells, so a rerun reports them again
+    rather than waiting for cells whose revocations nothing lifts.  When
+    no worker runs, none can launch or steal, and cells are still
+    unresolved, raises :class:`RuntimeError` naming those cells and the
+    ``*.revoked.json`` files that hold them.
 
     Returns a summary dict; ``summary["ok"]`` is True only for a
     campaign with zero quarantined/blocked cells.  Pass a
@@ -498,8 +498,15 @@ def run_campaign(
         all_keys |= set(slot.keys)
 
     attempts: dict[str, int] = {}
-    quarantined: dict[str, dict] = {}
-    blocked: set[str] = set()
+    # An earlier run's quarantines stay revoked, so only its report
+    # can resolve them.
+    earlier = read_failures(shard_dir / FAILURES_NAME) or {}
+    quarantined: dict[str, dict] = {
+        key: record
+        for key, record in earlier.get("cells", {}).items()
+        if key in all_keys
+    }
+    blocked: set[str] = set(earlier.get("blocked", ())) & all_keys
     store_failures: dict[Path, dict[str, dict]] = {}
     store_blocked: dict[Path, set[str]] = {}
 
@@ -563,9 +570,8 @@ def run_campaign(
         return None
 
     def quarantine(slot: _Slot, key: str, note: str) -> None:
-        casualties = _successors(key, slot.cells) - _stored_keys(
-            slot.store_root
-        )
+        casualties = _chain_closure({key}, slot.cells) - {key}
+        casualties -= _stored_keys(slot.store_root)
         write_revoked(
             slot.revoked_path,
             read_revoked(slot.revoked_path) | {key} | casualties,
@@ -648,8 +654,9 @@ def run_campaign(
         )
 
     def slot_work(slot: _Slot) -> list[str]:
+        # The worker skips the successors of a revoked cell too.
         stored = _stored_keys(slot.store_root)
-        revoked = read_revoked(slot.revoked_path)
+        revoked = _chain_closure(read_revoked(slot.revoked_path), slot.cells)
         return [
             key
             for key in slot.keys
@@ -717,6 +724,20 @@ def run_campaign(
             union |= _stored_keys(root)
         return union
 
+    def stalled_error(unresolved: set[str]) -> RuntimeError:
+        holders = []
+        for path in sorted(shard_dir.glob(f"{prefix}-*.revoked.json")):
+            held = sorted(unresolved & read_revoked(path))
+            if held:
+                holders.append(f"{path} revokes {', '.join(held)}")
+        where = "; ".join(holders) or "no revocation file holds them"
+        return RuntimeError(
+            f"campaign cannot progress: {len(unresolved)} cell(s) are "
+            "not stored, quarantined or blocked, and no worker runs, can "
+            f"launch or can steal them: {', '.join(sorted(unresolved))}; "
+            f"{where}. A key removed from its revocation file runs again."
+        )
+
     log.log(
         "campaign_start",
         shard_dir=str(shard_dir),
@@ -739,8 +760,10 @@ def run_campaign(
             resolved = stored_union() | set(quarantined) | blocked
             if all_keys <= resolved:
                 break
+            stalled = True
             for slot in slots:
                 if slot.proc is not None:
+                    stalled = False
                     rc = slot.proc.poll()
                     if rc is None:
                         lease = read_lease(slot.lease_path)
@@ -778,14 +801,18 @@ def run_campaign(
                 work = slot_work(slot)
                 unresolved = [k for k in work if k not in resolved]
                 if unresolved:
+                    stalled = False
                     if now >= slot.next_launch_unix_s:
                         launch(slot)
                     continue
                 if steal and try_steal(slot, now):
+                    stalled = False
                     launch(slot)
                 elif not slot.idle_logged:
                     slot.idle_logged = True
                     log.log("worker_idle", shard=slot.index)
+            if stalled:
+                raise stalled_error(all_keys - resolved)
             time.sleep(poll_s)
     finally:
         for slot in slots:

@@ -24,16 +24,15 @@ gated by the event loop's per-step cost, so the innermost state is
 struct-of-arrays: the fabric keeps flow ``src``/``dst``/``remaining``/
 ``rate`` in flat numpy arrays (insertion-ordered; :class:`Flow`
 objects are handles into them).  Water-filling, the flow
-completion-bound scan, and the flow advance each have one algorithm
-with two backends: the numba kernels in ``repro.simulator._kernels``
-when numba is installed, else the list-based reference in the fabric.
-The same arithmetic runs for every flow count, and the two backends
-are bit-identical.  Per event step the cost is
+completion-bound scan, and the flow advance each have one
+implementation in the fabric: a list loop up to ``_SWEEP_CUTOVER`` live
+flows and numpy sweeps above it, with the same arithmetic for every
+flow count.  Per event step the cost is
 
 * one lazy water-filling — skipped entirely unless a flow arrived or
   completed, a shaper ceiling moved, or a caller invalidated rates;
   otherwise O(bottlenecks x flows);
-* O(changed flows) topology upkeep on the list leg: a flow arrival or
+* O(changed flows) topology upkeep: a flow arrival or
   completion appends to or removes from its two nodes' flow lists,
   which the water-filling reads as its resources instead of rebuilding
   them from every live flow;

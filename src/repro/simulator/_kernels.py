@@ -1,68 +1,43 @@
-"""Compiled hot kernels for the fluid fabric, with graceful fallback.
+"""Array-based reference implementations of the fabric's hot loops.
 
 The three inner loops that dominate event-step cost — progressive-
 filling water-fill, the flow completion-bound scan, and the flow
 advance/completion sweep — are written here as plain-Python functions
-over numpy arrays and compiled with numba when it is importable.  The
-selection happens once at import:
+over numpy arrays.  :class:`~repro.simulator.fabric.Fabric` does not
+call them: it runs its own list loops and numpy sweeps.  These
+functions are the independent reference that the kernel and max-min
+oracle tests compare the fabric against bit for bit.
 
-* numba present and ``REPRO_NO_JIT`` unset → :data:`HAVE_JIT` is True
-  and the public names (:func:`waterfill`, :func:`flow_min_bound`,
-  :func:`advance_flows`) are ``njit``-compiled (IEEE-strict: no
-  ``fastmath``, so no FMA contraction — bit-exactness against the
-  list-based reference is part of the contract and pinned by the
-  golden trace);
-* numba missing, or ``REPRO_NO_JIT`` set to anything non-empty →
-  :data:`HAVE_JIT` is False and
-  :class:`~repro.simulator.fabric.Fabric` runs its own reference
-  instead: the list water-fill, and for the bound scan and the advance
-  a loop over the flows up to ``fabric._SWEEP_CUTOVER`` live flows and
-  numpy ufunc sweeps above it (the kernels would be *slower* as
-  interpreted Python over numpy arrays, so the fallback is "don't call
-  them", not "call them uncompiled").
-
-The uncompiled originals stay importable as ``*_py`` so the identity
-tests can pin kernel algorithm ≡ fabric reference even on machines
-without numba.
-
-Every kernel reproduces its fabric counterpart's floating-point
+Every function reproduces its fabric counterpart's floating-point
 operation order exactly:
 
-* :func:`waterfill` is the reference progressive filling —
+* :func:`waterfill_py` is the reference progressive filling —
   first-appearance resource ordering, strict-min tie-break, per-frozen-
   flow clamped capacity subtraction — over CSR adjacency instead of
   Python lists;
-* :func:`flow_min_bound` is ``Fabric.horizon``'s completed/stalled/
+* :func:`flow_min_bound_py` is ``Fabric.horizon``'s completed/stalled/
   active classification per flow;
-* :func:`advance_flows` is ``remaining -= rate * dt`` plus the
+* :func:`advance_flows_py` is ``remaining -= rate * dt`` plus the
   completion-epsilon test, writing completed indices into a caller
   scratch buffer.
+
+:data:`HAVE_JIT` is a constant ``False``: there is no compiled
+backend.  It stays only because ``perfbench``'s machine fingerprint
+still reads it.
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
 __all__ = [
     "HAVE_JIT",
-    "waterfill",
-    "flow_min_bound",
-    "advance_flows",
     "waterfill_py",
     "flow_min_bound_py",
     "advance_flows_py",
 ]
 
 HAVE_JIT = False
-if not os.environ.get("REPRO_NO_JIT"):
-    try:  # pragma: no cover - exercised only where numba is installed
-        from numba import njit as _njit
-
-        HAVE_JIT = True
-    except ImportError:
-        HAVE_JIT = False
 
 
 def waterfill_py(
@@ -207,13 +182,3 @@ def advance_flows_py(
             count += 1
     return count
 
-
-if HAVE_JIT:  # pragma: no cover - exercised only where numba is installed
-    _compile = _njit(cache=True, fastmath=False)
-    waterfill = _compile(waterfill_py)
-    flow_min_bound = _compile(flow_min_bound_py)
-    advance_flows = _compile(advance_flows_py)
-else:
-    waterfill = waterfill_py
-    flow_min_bound = flow_min_bound_py
-    advance_flows = advance_flows_py

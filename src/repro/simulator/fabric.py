@@ -23,18 +23,17 @@ completion costs O(changed flows), not a rebuild over every live flow.
 The resources' water-fill ranks (keyed by their first flow's id) and
 the count of sending nodes are kept the same way.
 Each hot loop — water-filling, the flow completion-bound scan, and the
-flow advance — has exactly one algorithm with two backends: the numba
-kernels in :mod:`repro.simulator._kernels` when they compile, else the
-reference here.  The reference water-fill keeps its fair shares in a
-rank-ordered list and picks each bottleneck with ``min``/``index``;
-the reference bound scan and advance loop over the flows up to
-``_SWEEP_CUTOVER`` live flows and sweep the flow arrays with numpy
-ufuncs above it, where a few ufunc calls cost less than the loop.
-Both backends run the same progressive filling *bit for bit* — same
-saturation order, same tie-breaking (first resource in flow-insertion
-order wins), same floating-point operation order for the per-flow
-capacity subtractions — for every flow count, which is what lets the
-golden-trace equivalence test pin outputs exactly on both legs.
+flow advance — has exactly one implementation, here.  The water-fill
+keeps its fair shares in a rank-ordered list and picks each bottleneck
+with ``min``/``index``; the bound scan and advance loop over the flows
+up to ``_SWEEP_CUTOVER`` live flows and sweep the flow arrays with
+numpy ufuncs above it, where a few ufunc calls cost less than the loop.
+The array-based functions in :mod:`repro.simulator._kernels` are an
+independent reference for the same algorithms — same saturation order,
+same tie-breaking (first resource in flow-insertion order wins), same
+floating-point operation order for the per-flow capacity subtractions
+— which the kernel tests compare against bit for bit, and the golden
+trace pins the fabric's outputs exactly.
 
 The shaper side is batched the same way: the fabric holds a
 :class:`~repro.netmodel.fleet.LinkModelFleet` (built automatically
@@ -69,7 +68,6 @@ import numpy as np
 
 from repro.netmodel.base import LinkModel
 from repro.netmodel.fleet import LinkModelFleet, build_fleet, decay_floor
-from repro.simulator import _kernels
 
 __all__ = ["Flow", "Fabric"]
 
@@ -223,7 +221,6 @@ class Fabric:
         self.ingress_caps = [float(c) for c in ingress_caps_gbps]
         #: Number of nodes attached to the fabric.
         self.n_nodes = self.fleet.n
-        self._ingress_arr = np.asarray(self.ingress_caps, dtype=float)
         self.flows: dict[int, Flow] = {}
         self._next_id = 0
         self._rates_valid = False
@@ -252,8 +249,6 @@ class Fabric:
         self._floor = 0.0
         self._floor_at_refresh = 0.0
         self._floor_valid = False
-        #: Scratch for the compiled advance kernel's completed indices.
-        self._done_scratch = np.empty(_MIN_CAPACITY, dtype=np.int64)
         #: Per-node handles of the flows leaving (``_out_flows``) and
         #: entering (``_in_flows``) each node, in insertion order: the
         #: water-filling topology of :meth:`_compute_rates_lists`.
@@ -352,7 +347,6 @@ class Fabric:
             new = np.zeros(capacity, dtype=old.dtype)
             new[: self._n] = old[: self._n]
             setattr(self, name, new)
-        self._done_scratch = np.empty(capacity, dtype=np.int64)
 
     def _compact(self, removed: list[int]) -> None:
         """Drop the flows at ascending indices ``removed``, keeping order.
@@ -433,22 +427,13 @@ class Fabric:
         if n == 0:
             self._rates_valid = True
             return
-        if _kernels.HAVE_JIT:
-            _kernels.waterfill(
-                self._src[:n],
-                self._dst[:n],
-                self.fleet.limits(),
-                self._ingress_arr.copy(),
-                self._rate[:n],
-            )
-        else:
-            self._compute_rates_lists(n)
+        self._compute_rates_lists(n)
         self._rates_valid = True
 
     def _compute_rates_lists(self, n: int) -> None:
-        """Reference progressive filling over the per-node flow lists.
+        """Progressive filling over the per-node flow lists.
 
-        The same algorithm as :func:`repro.simulator._kernels.waterfill`:
+        The same algorithm as :func:`repro.simulator._kernels.waterfill_py`:
         resources ranked by first appearance in the (out, src),
         (in, dst) sequence over flows in insertion order, the tightest
         fair share saturates first, the first-ranked resource wins
@@ -665,11 +650,7 @@ class Fabric:
     def _scan_flows(self) -> float:
         """The earliest flow completion, exactly; refreshes the cache."""
         n = self._n
-        if _kernels.HAVE_JIT:
-            flow_bound = float(
-                _kernels.flow_min_bound(self._remaining[:n], self._rate[:n])
-            )
-        elif n > _SWEEP_CUTOVER:
+        if n > _SWEEP_CUTOVER:
             # ``fmin`` skips NaN as the loop's ``<`` does; a remaining
             # volume at or below zero bounds the step at zero.
             remaining = self._remaining[:n]
@@ -729,16 +710,7 @@ class Fabric:
         compaction, and flow-bound cache maintenance.
         """
         n = self._n
-        if _kernels.HAVE_JIT:
-            count = _kernels.advance_flows(
-                self._remaining[:n],
-                self._rate[:n],
-                dt,
-                _COMPLETE_EPS_GBIT,
-                self._done_scratch,
-            )
-            done = self._done_scratch[:count].tolist()
-        elif n > _SWEEP_CUTOVER:
+        if n > _SWEEP_CUTOVER:
             remaining = self._remaining[:n]
             remaining -= self._rate[:n] * dt
             done = np.flatnonzero(remaining <= _COMPLETE_EPS_GBIT).tolist()

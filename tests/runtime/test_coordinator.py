@@ -24,6 +24,7 @@ from repro.runtime import (
 )
 from repro.runtime.chaos import demo_matrix
 from repro.runtime.coordinator import lease_expired, read_lease
+from repro.runtime.worker import write_revoked
 
 
 def _campaign(shard_dir, store_root, **kwargs):
@@ -152,7 +153,9 @@ class TestPoisonQuarantine:
         ``failures.json`` must name *exactly* the poison cell as failed
         (its chained successor is a blocked casualty, reported
         separately), and the partial merge must equal the serial store
-        minus precisely that chain.
+        minus precisely that chain.  Rerunning the same campaign, into
+        the old merged store or a fresh one, reports the same
+        quarantine at once and merges the same content.
         """
         # The serial reference must run before chaos is armed — the
         # injector is in-process for run_manifest.
@@ -187,6 +190,91 @@ class TestPoisonQuarantine:
         merged = ArtifactStore(tmp_path / "merged")
         missing = set(reference.keys()) - set(merged.keys())
         assert missing == {poison} | set(summary["blocked"])
+
+        for store in ("merged", "merged-fresh"):
+            start = time.monotonic()
+            again = _campaign(
+                shard_dir, tmp_path / store,
+                max_retries=1, allow_partial=True,
+            )
+            assert time.monotonic() - start < 30.0
+            assert again["quarantined"] == (poison,)
+            assert again["blocked"] == summary["blocked"]
+            assert again["launches"] == 0
+            assert (
+                again["merged"]["content_hash"]
+                == summary["merged"]["content_hash"]
+            )
+
+    def test_orphaned_revocation_raises_naming_key_and_file(
+        self, tmp_path, demo_cells
+    ):
+        """Revoked cells that no slot owns end the run, not idle it.
+
+        A coordinator that dies after a steal, before the thief stores
+        the stolen chain, leaves keys revoked from their shard with no
+        steal manifest and no quarantine record.  The worker skips the
+        revoked chain head's successor too, so it is unresolved as well.
+        """
+        shard_dir = tmp_path / "shards"
+        manifests = write_demo_shards(shard_dir, demo_cells, 2)
+        head, successor = [entry["key"] for entry in json.loads(
+            manifests[1].read_text()
+        )["cells"]]
+        revoked = shard_dir / "shard-1.revoked.json"
+        write_revoked(revoked, [head])
+        start = time.monotonic()
+        with pytest.raises(RuntimeError, match="cannot progress") as info:
+            _campaign(shard_dir, tmp_path / "merged")
+        assert time.monotonic() - start < 30.0
+        message = str(info.value)
+        assert f"{revoked} revokes {head}" in message
+        assert successor in message
+
+    def test_cleared_orphaned_revocation_runs_again(
+        self, tmp_path, demo_cells
+    ):
+        """Lifting an orphaned revocation, as the error advises, heals it.
+
+        Once the key is gone from its revocation file, a rerun on the
+        same shard dir runs the chain and merges the serial content.
+        """
+        reference = serial_reference_hash(tmp_path, demo_cells)
+        shard_dir = tmp_path / "shards"
+        manifests = write_demo_shards(shard_dir, demo_cells, 2)
+        head = json.loads(manifests[1].read_text())["cells"][0]["key"]
+        revoked = shard_dir / "shard-1.revoked.json"
+        write_revoked(revoked, [head])
+        with pytest.raises(RuntimeError, match="cannot progress"):
+            _campaign(shard_dir, tmp_path / "merged")
+        write_revoked(revoked, [])
+        summary = _campaign(shard_dir, tmp_path / "merged")
+        assert summary["ok"]
+        assert summary["quarantined"] == ()
+        assert summary["merged"]["content_hash"] == reference
+
+    def test_failures_of_other_cells_resolve_nothing(
+        self, tmp_path, demo_cells
+    ):
+        """A ``failures.json`` naming no cell of this campaign is ignored.
+
+        Only the campaign's own keys are reloaded as quarantined or
+        blocked, so a stale report from another manifest neither
+        resolves nor reports anything, and every cell still runs.
+        """
+        reference = serial_reference_hash(tmp_path, demo_cells)
+        shard_dir = tmp_path / "shards"
+        write_demo_shards(shard_dir, demo_cells, 2)
+        (shard_dir / "failures.json").write_text(json.dumps({
+            "cells": {"cell-0000000000000000": {"shard": 0}},
+            "blocked": ["cell-1111111111111111"],
+        }))
+        summary = _campaign(shard_dir, tmp_path / "merged")
+        assert summary["ok"]
+        assert summary["quarantined"] == ()
+        assert summary["blocked"] == ()
+        assert summary["stored"] == len(demo_cells)
+        assert summary["merged"]["content_hash"] == reference
 
     def test_merge_refuses_partial_without_flag(
         self, tmp_path, demo_cells, chaos_env

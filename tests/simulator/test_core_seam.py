@@ -7,8 +7,8 @@ ordering contract, and the begin / prologue / epilogue / finish
 decomposition: driving a state through the public helpers step by step
 must reproduce ``execute()`` bit for bit, because that is exactly what
 the batched multistream driver does.  (The golden-trace and scheduler
-suites pin the *values* against pre-refactor fixtures; the bench
-``--check`` gate pins them on both jit legs.)
+suites pin the *values* against pre-refactor fixtures, as does the
+bench ``--check`` gate.)
 """
 
 import math

@@ -149,36 +149,6 @@ def test_reference_stream_uses_vectorized_fleet_by_default():
     assert isinstance(cluster.build_fabric().fleet, TokenBucketFleet)
 
 
-def test_golden_trace_with_jit_disabled_subprocess():
-    """``REPRO_NO_JIT=1`` must reproduce the pinned trace bit for bit.
-
-    The env var is read once at import, so the fallback selection needs
-    a fresh interpreter.  Where numba is absent this re-checks the only
-    path; on CI's jit axis it proves the compiled kernels and the
-    numpy/scalar fallback cannot drift apart.
-    """
-    import os
-    import subprocess
-    import sys
-
-    code = (
-        "import json, sys\n"
-        f"sys.path.insert(0, {str(Path(__file__).parent)!r})\n"
-        "import test_golden_trace as g\n"
-        "snap = g._snapshot(g._run_reference_stream())\n"
-        "pinned = json.loads(g.FIXTURE.read_text())\n"
-        "assert snap == pinned, 'no-jit trace diverged from fixture'\n"
-        "print('ok')\n"
-    )
-    src = str(Path(__file__).resolve().parents[2] / "src")
-    env = dict(os.environ, PYTHONPATH=src, REPRO_NO_JIT="1")
-    proc = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "ok"
-
-
 def test_snapshot_is_finite_and_consistent():
     """The reference stream itself stays sane (guards fixture regen)."""
     snapshot = _snapshot(_run_reference_stream())

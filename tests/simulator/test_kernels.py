@@ -1,20 +1,12 @@
-"""Identity tests for the compiled fabric kernels.
+"""Identity tests for the fabric's array-based reference kernels.
 
 The ``repro.simulator._kernels`` functions are the fabric's hot loops
-re-expressed for numba.  The contract is bit-exactness: the plain-
-Python ``*_py`` variants (always importable, compiled or not) must
-reproduce the fabric's list-based reference to the last bit, and — where numba is installed — the compiled entry points must
-match the ``*_py`` sources exactly (``fastmath`` stays off, so there
-is no FMA contraction to diverge them).
+re-expressed over numpy arrays with CSR adjacency.  The contract is
+bit-exactness: each ``*_py`` function must reproduce the fabric's own
+list loops and numpy sweeps to the last bit.
 """
 
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import numpy as np
-import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -22,8 +14,6 @@ from repro.netmodel import ConstantRateModel
 from repro.simulator import Fabric
 from repro.simulator import _kernels
 from repro.simulator.fabric import _COMPLETE_EPS_GBIT, _SWEEP_CUTOVER
-
-_SRC = str(Path(__file__).resolve().parents[2] / "src")
 
 
 def _random_instance(seed, n_flows, n_nodes=7):
@@ -291,54 +281,6 @@ class TestFlowSweeps:
         assert completed == [handles[i] for i in scratch[:count]]
         assert [h.remaining_gbit for h in handles] == remaining.tolist()
         assert fab._n == n - count
-
-
-class TestKernelSelection:
-    def test_no_jit_env_forces_python_fallback(self):
-        code = (
-            "from repro.simulator import _kernels\n"
-            "assert not _kernels.HAVE_JIT\n"
-            "assert _kernels.waterfill is _kernels.waterfill_py\n"
-            "assert _kernels.flow_min_bound is _kernels.flow_min_bound_py\n"
-            "assert _kernels.advance_flows is _kernels.advance_flows_py\n"
-            "print('ok')\n"
-        )
-        env = dict(os.environ, PYTHONPATH=_SRC, REPRO_NO_JIT="1")
-        proc = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "ok"
-
-    @pytest.mark.skipif(not _kernels.HAVE_JIT, reason="numba not installed")
-    def test_compiled_kernels_match_python_sources(self):
-        # Only meaningful on the jit CI axis: the njit-compiled entry
-        # points must be bit-identical to their interpreted sources.
-        for seed in range(10):
-            flows, egress, ingress = _random_instance(seed, 40)
-            n = len(flows)
-            src = np.array([f[0] for f in flows], dtype=np.intp)
-            dst = np.array([f[1] for f in flows], dtype=np.intp)
-            rate_py = np.zeros(n)
-            rate_jit = np.zeros(n)
-            _kernels.waterfill_py(
-                src, dst, np.array(egress), np.array(ingress), rate_py
-            )
-            _kernels.waterfill(
-                src, dst, np.array(egress), np.array(ingress), rate_jit
-            )
-            assert rate_py.tolist() == rate_jit.tolist()
-            assert _kernels.flow_min_bound(
-                rate_py * 3.0, rate_py
-            ) == _kernels.flow_min_bound_py(rate_py * 3.0, rate_py)
-            rem_py = rate_py * 2.0
-            rem_jit = rem_py.copy()
-            scratch_py = np.empty(n, dtype=np.int64)
-            scratch_jit = np.empty(n, dtype=np.int64)
-            c_py = _kernels.advance_flows_py(rem_py, rate_py, 0.7, 1e-9, scratch_py)
-            c_jit = _kernels.advance_flows(rem_jit, rate_py, 0.7, 1e-9, scratch_jit)
-            assert rem_py.tolist() == rem_jit.tolist()
-            assert scratch_py[:c_py].tolist() == scratch_jit[:c_jit].tolist()
 
 
 class TestHorizonSkipPath:

@@ -1,4 +1,4 @@
-"""An independent max-min oracle for both water-fill legs.
+"""An independent max-min oracle for the water-fill and its reference.
 
 The kernel tests pin the list-based water-fill and
 :func:`repro.simulator._kernels.waterfill_py` against each other, but
@@ -67,8 +67,6 @@ def certificate_failures(src, dst, egress, ingress, rates):
 
 
 def list_leg_rates(src, dst, egress, ingress):
-    # Called directly, so the list leg is checked where numba is
-    # installed too.
     fabric = Fabric(
         egress_models=[ConstantRateModel(c) for c in egress],
         ingress_caps_gbps=ingress,

@@ -53,9 +53,7 @@ class TestGateCasePins:
 
     Each case runs exactly as ``repro bench`` runs it, and its workload
     params and simulation outputs must equal the values the ``smoke``
-    reference of ``BENCH_engine.json`` records.  The compiled kernels
-    are bit-identical to the list-based reference, so the pins hold on
-    both jit legs.
+    reference of ``BENCH_engine.json`` records.
     """
 
     PINS = {

@@ -1,4 +1,4 @@
-"""Import-graph guard: simulations never load scipy.
+"""Import-graph guard: simulations never load scipy or a second backend.
 
 Importing scipy is slow (``scipy.special`` alone is about a quarter of
 a second, and it drags in ``numpy.f2py``), and every fresh process (a
@@ -6,8 +6,11 @@ campaign worker shard, a subprocess cell, a CLI call) would pay for it.
 No simulation needs it: the AR(1) shaper's normal CDF is the
 pure-Python cephes port in :mod:`repro.netmodel._ndtr`, and
 :mod:`repro.stats` imports ``scipy.stats`` inside the functions that
-call it.  Each check runs in a cold interpreter so modules loaded by
-other tests cannot mask a regression.
+call it.  The fabric's hot loops have one implementation, so a
+simulation loads neither numba nor :mod:`repro.simulator._kernels`
+(the array-based reference the kernel tests compare against).  Each
+check runs in a cold interpreter so modules loaded by other tests
+cannot mask a regression.
 """
 
 import os
@@ -42,7 +45,11 @@ def test_simulation_paths_never_load_scipy():
 
         def heavy():
             return sorted(
-                m for m in sys.modules if m.startswith(("scipy", "numpy.f2py"))
+                m
+                for m in sys.modules
+                if m.startswith(
+                    ("scipy", "numpy.f2py", "numba", "repro.simulator._kernels")
+                )
             )
 
         import repro.runtime.worker
