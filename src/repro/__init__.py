@@ -92,6 +92,20 @@ golden trace and ``repro bench --check``:
    cells through it; per-cell results are byte-identical to serial
    runs.
 
+**Cold start.**  Repetition at scale means many fresh processes: CLI
+calls, perfbench set-ups, and every shard worker a campaign launches
+or relaunches.  Each entry point imports only the layers it runs: a
+DAG-stream process loads the generators, providers, netmodel and
+engine, not the campaign runtime, measurement, serving, stats, obs or
+emulator layers; a shard worker loads no supervisor, remote transport,
+serving layer or :mod:`multiprocessing`.  The package ``__init__``s of
+:mod:`repro.scenarios`, :mod:`repro.runtime`, :mod:`repro.measurement`,
+:mod:`repro.stats`, :mod:`repro.obs` and :mod:`repro.serving` export
+through one PEP 562 helper, :mod:`repro._lazy`: ``__all__`` is
+unchanged, and a name's submodule loads on its first use.
+``tests/test_import_graph.py`` pins these module sets in cold
+interpreters.
+
 Performance is measured by ``perfbench/`` (repeated fresh-process
 passes, calibrated host times, per-layer traces).
 ``python -m repro bench --check`` is CI's checksum and wall-time gate

@@ -16,25 +16,27 @@ tooling (Section 3):
   (Figure 11's methodology).
 """
 
-from repro.measurement.campaign import (
-    CampaignConfig,
-    CampaignResult,
-    run_campaign,
-    table3_campaigns,
-)
-from repro.measurement.capture import RetransmissionModel, segments_for_gbit
-from repro.measurement.fingerprint import (
-    NetworkFingerprint,
-    TokenBucketEstimate,
-    fingerprint_link,
-    identify_token_bucket,
-)
-from repro.measurement.iperf import BandwidthProbe
-from repro.measurement.repository import (
-    RepositoryCorruptionError,
-    TraceRepository,
-)
-from repro.measurement.rtt import LatencyProbe
+from repro._lazy import lazy_exports
+
+_EXPORTS = {
+    "repro.measurement.campaign": (
+        "CampaignConfig",
+        "CampaignResult",
+        "run_campaign",
+        "table3_campaigns",
+    ),
+    "repro.measurement.capture": ("RetransmissionModel", "segments_for_gbit"),
+    "repro.measurement.fingerprint": (
+        "NetworkFingerprint",
+        "TokenBucketEstimate",
+        "fingerprint_link",
+        "identify_token_bucket",
+    ),
+    "repro.measurement.iperf": ("BandwidthProbe",),
+    "repro.measurement.repository": ("RepositoryCorruptionError", "TraceRepository"),
+    "repro.measurement.rtt": ("LatencyProbe",),
+}
+__getattr__, __dir__ = lazy_exports(__name__, globals(), _EXPORTS)
 
 __all__ = [
     "RetransmissionModel",

@@ -25,25 +25,30 @@ bit-identical with the recorder on and off, and the disabled path adds
 a single pointer check per event.
 """
 
-from repro.obs.logging import StructuredLogger, format_fields
-from repro.obs.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    parse_prometheus_text,
-)
-from repro.obs.provenance import PROVENANCE_KEY, cell_provenance
-from repro.obs.quantiles import P2Quantile, WindowedQuantiles, quantile_key
-from repro.obs.recorder import NullRecorder, ObsRecorder
-from repro.obs.spans import SpanTracer
-from repro.obs.status import (
-    CampaignStatus,
-    ShardStatus,
-    campaign_status,
-    render_prometheus,
-    render_text,
-)
+from repro._lazy import lazy_exports
+
+_EXPORTS = {
+    "repro.obs.logging": ("StructuredLogger", "format_fields"),
+    "repro.obs.metrics": (
+        "Counter",
+        "Gauge",
+        "Histogram",
+        "MetricsRegistry",
+        "parse_prometheus_text",
+    ),
+    "repro.obs.provenance": ("PROVENANCE_KEY", "cell_provenance"),
+    "repro.obs.quantiles": ("P2Quantile", "WindowedQuantiles", "quantile_key"),
+    "repro.obs.recorder": ("NullRecorder", "ObsRecorder"),
+    "repro.obs.spans": ("SpanTracer",),
+    "repro.obs.status": (
+        "CampaignStatus",
+        "ShardStatus",
+        "campaign_status",
+        "render_prometheus",
+        "render_text",
+    ),
+}
+__getattr__, __dir__ = lazy_exports(__name__, globals(), _EXPORTS)
 
 __all__ = [
     "Counter",

@@ -97,70 +97,75 @@ is boring.  The assumptions and guarantees, from the bottom up:
   pulled-and-merged store hash must still equal the serial run's.
 """
 
-from repro.runtime.campaign import (
-    ArtifactCodec,
-    Campaign,
-    CampaignOutcome,
-    CampaignRunner,
-)
-from repro.runtime.cell import (
-    Cell,
-    cell_key,
-    execute_cell,
-    execute_cell_graph,
-    order_cells,
-    resolve_ref,
-)
-from repro.runtime.coordinator import (
-    LeaseHeartbeat,
-    LeaseLostError,
-    acquire_lease,
-    lease_path_for,
-    release_lease,
-    renew_lease,
-    run_campaign,
-)
-from repro.runtime.executors import (
-    BatchExecutor,
-    ExecutionAborted,
-    ProcessPoolExecutor,
-    SerialExecutor,
-    ShardExecutor,
-    cell_components,
-    partition_cells,
-)
-from repro.runtime.remote import (
-    FaultyTransport,
-    LocalDirTransport,
-    RemoteStore,
-    RetryPolicy,
-    SyncReport,
-    Transport,
-    TransportError,
-    TransportNotFoundError,
-    TransportTimeoutError,
-    open_transport,
-    read_sync_state,
-)
-from repro.runtime.store import (
-    ArtifactStore,
-    StoreCorruptionError,
-    StoreRepairReport,
-    StoreVerifyProblem,
-    StoreVerifyReport,
-    atomic_write_text,
-    validate_key,
-)
-from repro.runtime.worker import (
-    FAILURES_NAME,
-    MANIFEST_SCHEMA,
-    CellExecutionError,
-    merge_stores,
-    read_failures,
-    read_shard_manifest,
-    run_manifest,
-    write_shard_manifests,
-)
+from repro._lazy import lazy_exports
+
+_EXPORTS = {
+    "repro.runtime.campaign": (
+        "ArtifactCodec",
+        "Campaign",
+        "CampaignOutcome",
+        "CampaignRunner",
+    ),
+    "repro.runtime.cell": (
+        "Cell",
+        "cell_key",
+        "execute_cell",
+        "execute_cell_graph",
+        "order_cells",
+        "resolve_ref",
+    ),
+    "repro.runtime.coordinator": (
+        "LeaseHeartbeat",
+        "LeaseLostError",
+        "acquire_lease",
+        "lease_path_for",
+        "release_lease",
+        "renew_lease",
+        "run_campaign",
+    ),
+    "repro.runtime.executors": (
+        "BatchExecutor",
+        "ExecutionAborted",
+        "ProcessPoolExecutor",
+        "SerialExecutor",
+        "ShardExecutor",
+        "cell_components",
+        "partition_cells",
+    ),
+    "repro.runtime.remote": (
+        "FaultyTransport",
+        "LocalDirTransport",
+        "RemoteStore",
+        "RetryPolicy",
+        "SyncReport",
+        "Transport",
+        "TransportError",
+        "TransportNotFoundError",
+        "TransportTimeoutError",
+        "open_transport",
+        "read_sync_state",
+    ),
+    "repro.runtime.store": (
+        "ArtifactStore",
+        "StoreCorruptionError",
+        "StoreRepairReport",
+        "StoreVerifyProblem",
+        "StoreVerifyReport",
+        "atomic_write_text",
+        "validate_key",
+    ),
+    "repro.runtime.worker": (
+        "FAILURES_NAME",
+        "MANIFEST_SCHEMA",
+        "CellExecutionError",
+        "merge_stores",
+        "read_failures",
+        "read_shard_manifest",
+        "run_manifest",
+        "write_shard_manifests",
+    ),
+}
+__getattr__, __dir__ = lazy_exports(__name__, globals(), _EXPORTS)
 
 __all__ = [
     "ArtifactCodec",

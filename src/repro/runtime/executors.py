@@ -42,8 +42,6 @@ runs of a chained matrix remain byte-identical.
 from __future__ import annotations
 
 import json
-import multiprocessing
-import subprocess
 import sys
 import tempfile
 import time
@@ -461,6 +459,8 @@ class ProcessPoolExecutor:
             tasks = kept
             if not tasks:
                 return
+        import multiprocessing  # only pooled runs pay for it
+
         n_workers = min(self.workers, len(tasks))
         chunksize = max(1, len(tasks) // (n_workers * 4))
         with multiprocessing.Pool(n_workers) as pool:
@@ -605,6 +605,8 @@ class ShardExecutor:
                 staging.cleanup()
 
     def _run_worker_cli(self, manifest: Path, store_root: Path) -> None:
+        import subprocess  # only the via_subprocess branch pays for it
+
         completed = subprocess.run(
             [
                 sys.executable,

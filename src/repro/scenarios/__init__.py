@@ -37,6 +37,7 @@ Quickstart::
 From the shell: ``python -m repro scenario --fast --seed 7``.
 """
 
+from repro._lazy import lazy_exports
 from repro.scenarios.generate import (
     TPCH_LIKE_QUERIES,
     RandomDagConfig,
@@ -50,32 +51,35 @@ from repro.scenarios.generate import (
     synthesize_deadlines,
     tpch_like_job,
 )
-from repro.scenarios.orchestrate import (
-    DEFAULT_INSTANCES,
-    SCENARIO_CODEC,
-    CampaignOutcome,
-    ScenarioCampaign,
-    ScenarioConfig,
-    ScenarioResult,
-    chain_scenarios,
-    run_scenario,
-    run_scenario_payload,
-    scenario_cells,
-    scenario_matrix,
-)
 
-# Service-scenario generation lives in repro.serving (it builds on the
-# event core, not the DAG engine) but is part of the scenario surface:
-# serving cells are content-hashed, chain- and batch-executor
-# compatible, and mix with DAG cells in one campaign directory.
-from repro.serving.scenario import (
-    SERVING_CODEC,
-    ServingCampaign,
-    ServingConfig,
-    run_serving,
-    serving_cells,
-    serving_matrix,
-)
+_EXPORTS = {
+    "repro.scenarios.orchestrate": (
+        "DEFAULT_INSTANCES",
+        "SCENARIO_CODEC",
+        "CampaignOutcome",
+        "ScenarioCampaign",
+        "ScenarioConfig",
+        "ScenarioResult",
+        "chain_scenarios",
+        "run_scenario",
+        "run_scenario_payload",
+        "scenario_cells",
+        "scenario_matrix",
+    ),
+    # Service-scenario generation lives in repro.serving (it builds on the
+    # event core, not the DAG engine) but is part of the scenario surface:
+    # serving cells are content-hashed, chain- and batch-executor
+    # compatible, and mix with DAG cells in one campaign directory.
+    "repro.serving.scenario": (
+        "SERVING_CODEC",
+        "ServingCampaign",
+        "ServingConfig",
+        "run_serving",
+        "serving_cells",
+        "serving_matrix",
+    ),
+}
+__getattr__, __dir__ = lazy_exports(__name__, globals(), _EXPORTS)
 
 __all__ = [
     "RandomDagConfig",

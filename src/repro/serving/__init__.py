@@ -57,28 +57,33 @@ SLO verdict table) or ``python -m repro scenario --workload serving``
 (a whole provider x arrival matrix).
 """
 
-from repro.serving.arrivals import (
-    diurnal_process,
-    flash_crowd_process,
-    poisson_process,
-)
-from repro.serving.scenario import (
-    FIXED_RATE_GBPS,
-    SERVING_CODEC,
-    SERVING_DEFAULT_INSTANCES,
-    ServingCampaign,
-    ServingCellResult,
-    ServingConfig,
-    chain_serving,
-    run_serving,
-    run_servings_batched,
-    serving_batch_executor,
-    serving_cells,
-    serving_matrix,
-)
-from repro.serving.slo import SloPolicy, SloReport, SloViolation
-from repro.serving.state import ServingResult, ServingState, serve
-from repro.serving.topology import ServiceSpec, ServiceTopology
+from repro._lazy import lazy_exports
+
+_EXPORTS = {
+    "repro.serving.arrivals": (
+        "diurnal_process",
+        "flash_crowd_process",
+        "poisson_process",
+    ),
+    "repro.serving.scenario": (
+        "FIXED_RATE_GBPS",
+        "SERVING_CODEC",
+        "SERVING_DEFAULT_INSTANCES",
+        "ServingCampaign",
+        "ServingCellResult",
+        "ServingConfig",
+        "chain_serving",
+        "run_serving",
+        "run_servings_batched",
+        "serving_batch_executor",
+        "serving_cells",
+        "serving_matrix",
+    ),
+    "repro.serving.slo": ("SloPolicy", "SloReport", "SloViolation"),
+    "repro.serving.state": ("ServingResult", "ServingState", "serve"),
+    "repro.serving.topology": ("ServiceSpec", "ServiceTopology"),
+}
+__getattr__, __dir__ = lazy_exports(__name__, globals(), _EXPORTS)
 
 __all__ = [
     "ServiceSpec",

@@ -19,45 +19,50 @@ This package implements the statistical machinery the paper leans on:
 
 ``scipy.stats`` is slow to import, so the modules here import it inside
 the functions that call it: it loads on the first call that needs it.
-Keep it that way.  Simulations, campaign workers and the CLI import
-this package, and no simulation process may load any scipy module
+Keep it that way.  Campaign workers and the CLI import this package,
+and no simulation process may load any scipy module
 (the AR(1) shaper's normal CDF is the pure-Python port in
 :mod:`repro.netmodel._ndtr`); ``tests/test_import_graph.py`` guards
 both.
 """
 
-from repro.stats.anova import compare_groups, kruskal_wallis, one_way_anova
-from repro.stats.bootstrap import bootstrap_ci
-from repro.stats.confirm import (
-    ConfirmCurve,
-    confirm_curve,
-    min_samples_for_ci,
-    repetitions_needed,
-)
-from repro.stats.cov import coefficient_of_variation, dispersion_summary
-from repro.stats.kappa import cohens_kappa
-from repro.stats.quantiles import (
-    QuantileCI,
-    median_ci,
-    quantile_ci,
-    quantile_ci_indices,
-)
-from repro.stats.timeseries import (
-    DiurnalProfile,
-    autocorrelation,
-    diurnal_profile,
-    interval_medians,
-    stationary_windows,
-)
-from repro.stats.testing import (
-    TestVerdict,
-    adf_test,
-    ljung_box_test,
-    mann_whitney_test,
-    pettitt_test,
-    runs_test,
-    shapiro_test,
-)
+from repro._lazy import lazy_exports
+
+_EXPORTS = {
+    "repro.stats.anova": ("compare_groups", "kruskal_wallis", "one_way_anova"),
+    "repro.stats.bootstrap": ("bootstrap_ci",),
+    "repro.stats.confirm": (
+        "ConfirmCurve",
+        "confirm_curve",
+        "min_samples_for_ci",
+        "repetitions_needed",
+    ),
+    "repro.stats.cov": ("coefficient_of_variation", "dispersion_summary"),
+    "repro.stats.kappa": ("cohens_kappa",),
+    "repro.stats.quantiles": (
+        "QuantileCI",
+        "median_ci",
+        "quantile_ci",
+        "quantile_ci_indices",
+    ),
+    "repro.stats.timeseries": (
+        "DiurnalProfile",
+        "autocorrelation",
+        "diurnal_profile",
+        "interval_medians",
+        "stationary_windows",
+    ),
+    "repro.stats.testing": (
+        "TestVerdict",
+        "adf_test",
+        "ljung_box_test",
+        "mann_whitney_test",
+        "pettitt_test",
+        "runs_test",
+        "shapiro_test",
+    ),
+}
+__getattr__, __dir__ = lazy_exports(__name__, globals(), _EXPORTS)
 
 __all__ = [
     "QuantileCI",
