@@ -1,5 +1,8 @@
 """Tests for the fast figure reproductions (survey, traces, NIC, emulator)."""
 
+import dataclasses
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -18,6 +21,34 @@ from repro.paper import (
     fig14,
     tables,
 )
+
+
+def result_digest(result) -> str:
+    """sha256 over every number a figure result holds, in field order.
+
+    Pins Figures 4-12 bit for bit: the emulated link and the token
+    bucket probe that produce them must not drift under refactoring.
+    """
+    digest = hashlib.sha256()
+
+    def feed(value) -> None:
+        if dataclasses.is_dataclass(value):
+            for f in dataclasses.fields(value):
+                feed(getattr(value, f.name))
+        elif isinstance(value, dict):
+            for key in sorted(value):
+                digest.update(str(key).encode())
+                feed(value[key])
+        elif isinstance(value, (list, tuple)):
+            for item in value:
+                feed(item)
+        elif isinstance(value, str):
+            digest.update(value.encode())
+        else:
+            digest.update(np.ascontiguousarray(value, dtype=np.float64).tobytes())
+
+    feed(result)
+    return digest.hexdigest()
 
 
 class TestFig01:
@@ -51,6 +82,9 @@ class TestFig02:
 class TestFig04:
     def test_hpccloud_range_and_variability(self):
         result = fig04.reproduce(duration_s=36_000.0)
+        assert result_digest(result) == (
+            "3854df9a51da13bd92c251c490bb7b1c8e39d3c7e816b0d3cae9b4d0fb8ef5ee"
+        )
         row = result.rows()[0]
         assert 7.5 <= row["min_gbps"]
         assert row["max_gbps"] <= 10.6
@@ -61,6 +95,9 @@ class TestFig04:
 class TestFig05:
     def test_gce_pattern_ordering(self):
         result = fig05.reproduce(duration_s=36_000.0)
+        assert result_digest(result) == (
+            "f96a6dfe3a67c30830ac8630e3e75b2ba679f2438377ad8f4bf86633bfd389f2"
+        )
         boxes = result.boxes
         # Full-speed: highest median, narrowest spread; 5-30: long tail.
         assert boxes["full-speed"].p50 > boxes["5-30"].p50
@@ -75,6 +112,9 @@ class TestFig05:
 class TestFig06:
     def test_ec2_pattern_ordering_reversed(self):
         result = fig06.reproduce(duration_s=172_800.0)
+        assert result_digest(result) == (
+            "d2385dee0dd7eca73e08548c108be28406f85538d7654aabc982d712aa895e17"
+        )
         assert result.mean("5-30") > result.mean("10-30") > result.mean("full-speed")
 
     def test_three_and_seven_x_slowdowns(self):
@@ -93,6 +133,9 @@ class TestFig06:
 class TestFig07:
     def test_throttling_inflates_latency(self):
         result = fig07.reproduce(max_samples=30_000)
+        assert result_digest(result) == (
+            "b77c5c83877028aa954aace3ce6c608c026ae081205c5856c1088b59137155a0"
+        )
         assert result.normal.rtt.median() < 0.5
         assert result.latency_inflation > 30.0
 
@@ -105,6 +148,9 @@ class TestFig07:
 class TestFig08:
     def test_gce_millisecond_scale(self):
         result = fig08.reproduce(max_samples=30_000)
+        assert result_digest(result) == (
+            "25ee7c54463fbfc323fec34ff26ede3fc78f2430bf53bb6182a45612276505cf"
+        )
         row = result.rows()[0]
         assert 1.0 < row["rtt_median_ms"] < 4.0
         assert row["rtt_max_ms"] <= 10.0
@@ -113,6 +159,9 @@ class TestFig08:
 class TestFig09:
     def test_gce_dominates_retransmissions(self):
         result = fig09.reproduce(duration_s=7_200.0)
+        assert result_digest(result) == (
+            "b8e012fb41dca4a31b926f167a44227b647fe1460958e494ff3b1a59082b5c96"
+        )
         boxes = result.cloud_boxes
         assert boxes["google"].p50 > 1_000 * max(
             boxes["amazon"].p50, boxes["hpccloud"].p50, 1.0
@@ -133,6 +182,9 @@ class TestFig09:
 class TestFig10:
     def test_claims_hold_on_shortened_campaign(self):
         result = fig10.reproduce(duration_s=302_400.0)  # half week
+        assert result_digest(result) == (
+            "8ef12efb51f5cfc8de9d7ddd52d0b762b15592620b5c03d4c85d992d3ae15dbd"
+        )
         assert result.ec2_totals_roughly_equal()
         assert result.gce_full_speed_dominates()
 
@@ -140,6 +192,9 @@ class TestFig10:
 class TestFig11:
     def test_identification_with_few_tests(self):
         result = fig11.reproduce(tests_per_type=4)
+        assert result_digest(result) == (
+            "5f3aea53c26ce20e00b39a013781583a627349d597be91241e07ae667bc2fc2a"
+        )
         assert result.monotone_in_size()
         assert result.incarnations_inconsistent()
 
@@ -156,6 +211,9 @@ class TestFig11:
 class TestFig12:
     def test_gce_latency_grows_ec2_flat(self):
         result = fig12.reproduce()
+        assert result_digest(result) == (
+            "42f7a3cf00bc0afae887f73ddcf1340f4fbd55d2bc79aeae2cd2b45d4b832288"
+        )
         gce = {e.write_size_bytes: e for e in result.gce}
         ec2 = {e.write_size_bytes: e for e in result.ec2}
         assert gce[131_072].mean_rtt_ms > 2.5 * gce[9_000].mean_rtt_ms
