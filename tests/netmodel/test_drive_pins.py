@@ -295,6 +295,12 @@ def _rest_models():
             _JITTER, interval_s=0.7, seed=5
         ),
         "ar1": Ar1QuantileModel(_JITTER, interval_s=1.3, phi=0.6, seed=7),
+        # Floor-bound steps leave a countdown residue between 1e-12 and
+        # 1e-9 s: this rest takes 10,000 steps only because a rest
+        # ends at the coarser 1e-9 s tolerance.
+        "fine_sampling": UniformQuantileSamplingModel(
+            _JITTER, interval_s=0.05, seed=1
+        ),
     }
 
 
@@ -306,6 +312,10 @@ REST_STATES = {
     "constant": {
         "limit": "0x1.e000000000000p+2",
         "state": "874ff5aaba64bc4baf4203462a1ab1c07b191f3e892336066a705319d5d1a779",
+    },
+    "fine_sampling": {
+        "limit": "0x1.3cb7720e1863dp+3",
+        "state": "79fc8bca96ff0a627fe8279677911fccf696e442badb436ae8019ddae813efe2",
     },
     "percore_qos": {
         "limit": "0x1.c3d9d40af2a87p+2",
@@ -324,11 +334,15 @@ REST_STATES = {
 
 def _rest_pin(kind):
     model = _rest_models()[kind]
-    # Send for a while so the clocks sit mid-interval, then rest across
-    # many resample boundaries, a tiny gap and a long idle.
-    model.advance(min(0.37, model.horizon(model.limit())), model.limit())
-    for duration in (0.0, 2.5e-7, 3.3, 41.9, 12_345.6):
-        model.rest(duration)
+    if kind == "fine_sampling":
+        model.advance(0.0016229565597120023, 1.0)
+        model.rest(584.5)
+    else:
+        # Send for a while so the clocks sit mid-interval, then rest
+        # across many resample boundaries, a tiny gap and a long idle.
+        model.advance(min(0.37, model.horizon(model.limit())), model.limit())
+        for duration in (0.0, 2.5e-7, 3.3, 41.9, 12_345.6):
+            model.rest(duration)
     return {"limit": model.limit().hex(), "state": _sha(model_state_dict(model))}
 
 
