@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.emulator.patterns import TrafficPattern
-from repro.netmodel.base import LinkModel
+from repro.netmodel.base import LinkModel, drive
 
 __all__ = ["ReportSample", "EmulatedLink"]
 
@@ -54,10 +54,11 @@ class EmulatedLink:
         offered_gbps: float = 100.0,
         report_interval_s: float = 10.0,
     ) -> None:
-        if offered_gbps <= 0:
-            raise ValueError("offered rate must be positive")
-        if report_interval_s <= 0:
-            raise ValueError("report interval must be positive")
+        # Written to fail on NaN, which passes ``<= 0``.
+        if not offered_gbps > 0:
+            raise ValueError(f"offered rate must be positive, got {offered_gbps}")
+        if not report_interval_s > 0:
+            raise ValueError(f"report interval must be > 0, got {report_interval_s}")
         self.model = model
         self.pattern = pattern
         self.offered_gbps = float(offered_gbps)
@@ -93,38 +94,25 @@ class EmulatedLink:
             if not transmitting:
                 # Idle phases advance the model (buckets refill, GCE
                 # flows go cold) but produce no report samples.
-                self._advance_idle(phase_s)
+                for _ in drive(self.model, phase_s, 0.0, 1e-9):
+                    pass
                 now += phase_s
                 continue
-            remaining = phase_s
             window_start = now
-            while remaining > 1e-12:
-                rate = min(self.offered_gbps, self.model.limit())
-                step = min(
-                    remaining,
-                    self.model.horizon(rate),
-                    self.report_interval_s - window_elapsed,
-                )
-                step = max(step, 1e-9)
-                step = min(step, remaining)
-                self.model.advance(step, rate)
+            # The cap ends each step at the report window's boundary;
+            # the window is empty at the start of every burst.
+            segments = drive(
+                self.model, phase_s, self.offered_gbps, 1e-9, self.report_interval_s
+            )
+            for step, rate in segments:
                 window_gbit += rate * step
                 window_elapsed += step
                 now += step
-                remaining -= step
                 if window_elapsed >= self.report_interval_s - 1e-12:
                     close_window()
                     window_start = now
+                segments.send(self.report_interval_s - window_elapsed)
             # A burst shorter than the reporting interval still yields
             # its own sample (iperf reports at stream end).
             close_window()
         return samples
-
-    def _advance_idle(self, duration_s: float) -> None:
-        remaining = duration_s
-        while remaining > 1e-12:
-            step = min(remaining, self.model.horizon(0.0))
-            step = max(step, 1e-9)
-            step = min(step, remaining)
-            self.model.advance(step, 0.0)
-            remaining -= step

@@ -65,8 +65,9 @@ class TrafficPattern:
         The pattern always starts with a transmit phase, as the paper's
         scripts did; the final phase is truncated at the horizon.
         """
-        if duration_s < 0:
-            raise ValueError("duration cannot be negative")
+        # Written to fail on NaN, which passes ``< 0``.
+        if not duration_s >= 0:
+            raise ValueError(f"duration must be non-negative, got {duration_s}")
         remaining = duration_s
         if self.is_continuous:
             if remaining > 0:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.netmodel.base import LinkModel
+from repro.netmodel.base import LinkModel, drive
 from repro.netmodel.latency import LatencyModel
 
 __all__ = [
@@ -110,14 +110,14 @@ def identify_token_bucket(
     resting ``rest_probe_s`` and measuring how much high-rate sending
     the accumulated budget sustains.
     """
+    if not probe_interval_s > 0:
+        raise ValueError(f"probe interval must be positive, got {probe_interval_s}")
     model.reset()
-    offered = 1e9  # effectively unlimited offered load
     samples: list[float] = []
     elapsed = 0.0
+    probe = drive(model, math.inf, math.inf, 1e-6, probe_interval_s)
     while elapsed < max_duration_s:
-        rate = min(offered, model.limit())
-        step = min(probe_interval_s, max(model.horizon(rate), 1e-6))
-        model.advance(step, rate)
+        step, rate = next(probe)
         samples.append(rate)
         elapsed += step
         if len(samples) > stabilize_intervals:
@@ -155,19 +155,13 @@ def _finish_identification(
     # Replenish estimation: rest, then burn the accumulated budget at
     # the high rate; budget ~= replenish * rest time.
     _drain_fully(model, low_gbps)
-    remaining_rest = rest_probe_s
-    while remaining_rest > 1e-9:
-        step = min(remaining_rest, max(model.horizon(0.0), 1e-6))
-        model.advance(step, 0.0)
-        remaining_rest -= step
+    for _ in drive(model, rest_probe_s, 0.0, 1e-6, end_s=1e-9):
+        pass
     burned = 0.0
     elapsed = 0.0
-    while elapsed < rest_probe_s * 100:
-        rate = model.limit()
-        if rate < threshold:
-            break
-        step = min(0.05, max(model.horizon(rate), 1e-6))
-        model.advance(step, rate)
+    burn = drive(model, math.inf, math.inf, 1e-6, 0.05)
+    while elapsed < rest_probe_s * 100 and model.limit() >= threshold:
+        step, rate = next(burn)
         burned += (rate - low_gbps) * step
         elapsed += step
     replenish = burned / rest_probe_s if rest_probe_s > 0 else 0.0
@@ -182,12 +176,11 @@ def _finish_identification(
 
 def _drain_fully(model: LinkModel, low_gbps: float) -> None:
     """Send at full speed until the model is pinned at the low rate."""
+    segments = drive(model, math.inf, math.inf, 1e-6, 60.0)
     for _ in range(1_000_000):
-        rate = model.limit()
-        if rate <= low_gbps * 1.01:
+        if model.limit() <= low_gbps * 1.01:
             return
-        step = max(model.horizon(rate), 1e-6)
-        model.advance(min(step, 60.0), rate)
+        next(segments)
 
 
 def fingerprint_link(
@@ -206,13 +199,8 @@ def fingerprint_link(
         rng = np.random.default_rng(0)
     model.reset()
     transferred = 0.0
-    elapsed = 0.0
-    while elapsed < base_probe_s:
-        rate = model.limit()
-        step = min(1.0, max(model.horizon(rate), 1e-6), base_probe_s - elapsed)
-        model.advance(step, rate)
+    for step, rate in drive(model, base_probe_s, math.inf, 1e-6, 1.0):
         transferred += rate * step
-        elapsed += step
     base_bw = transferred / base_probe_s
 
     rtts = latency_model.sample_rtts_ms(20_000, rng)

@@ -29,11 +29,7 @@ slots read and write the fleet arrays), falling back to a per-model
 heterogeneous or custom models.
 """
 
-from repro.netmodel.base import (
-    ConstantRateModel,
-    LinkModel,
-    integrate_transfer,
-)
+from repro.netmodel.base import ConstantRateModel, LinkModel
 from repro.netmodel.fleet import (
     ConstantRateFleet,
     LinkModelFleet,
@@ -60,7 +56,6 @@ __all__ = [
     "model_state_dict",
     "model_from_state",
     "ConstantRateModel",
-    "integrate_transfer",
     "LinkModelFleet",
     "TokenBucketFleet",
     "ConstantRateFleet",

@@ -10,6 +10,10 @@ without fixed-step error.  Token buckets have analytic horizons (time
 until the budget empties or refills); sampling-based models bound the
 horizon by their next resample instant.
 
+:func:`drive` is the one scalar integration loop over that interface:
+the emulated link, the F5.2 probes, the CPU credit bucket and
+:meth:`LinkModel.rest` all step through it, each with its own floor.
+
 This design mirrors how the paper's experiments are layered: the same
 shaping behaviour must drive a raw iperf-style probe (Section 3), a
 ``tc``-based emulated link (Figure 14), and the per-node NICs of a
@@ -30,19 +34,76 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
+from collections.abc import Generator
 
 __all__ = [
     "LinkModel",
     "ConstantRateModel",
     "FleetSlot",
-    "integrate_transfer",
-    "TransferResult",
+    "drive",
 ]
 
 #: Step-count bound for the generic idle-rest fallback: a model whose
 #: horizon collapses (e.g. a shaper hovering at a state boundary) must
 #: not turn a rest into millions of micro-steps.
 _MAX_REST_STEPS = 10_000
+
+#: A :func:`drive` ends once no more than this many seconds remain:
+#: the countdown's float residue, never a real step.
+_END_S = 1e-12
+
+#: The coarser end tolerance of idle rests (and of the fleet rests that
+#: must replay :meth:`LinkModel.rest` step for step).
+_REST_END_S = 1e-9
+
+
+def _rest_floor(duration_s: float) -> float:
+    """Step floor of a generic rest: at most ``_MAX_REST_STEPS`` steps."""
+    return max(duration_s / _MAX_REST_STEPS, 1e-6)
+
+
+def drive(
+    model: LinkModel,
+    duration_s: float,
+    offered_gbps: float,
+    floor_s: float,
+    max_step_s: float = math.inf,
+    end_s: float = _END_S,
+) -> Generator[tuple[float, float], float | None, None]:
+    """Send at ``min(offered_gbps, model.limit())`` for ``duration_s``.
+
+    Returns a generator of ``(dt, rate)`` segments; each step is
+    already accounted in ``model`` when it is yielded.  A step lasts
+    the model's horizon at that rate, capped at ``max_step_s``, raised
+    to at least ``floor_s`` (so a vanishing horizon cannot stall the
+    loop) and clamped to the time that remains.  The drive ends once
+    no more than ``end_s`` remains; ``duration_s`` may be ``math.inf``
+    for a caller that stops on its own condition.
+
+    ``segments.send(cap)`` replaces ``max_step_s`` for the following
+    steps and returns ``None``, so a caller can send from inside its
+    ``for`` loop over the segments.
+    """
+    # Written to fail on NaN, which passes ``< 0``.
+    if not duration_s >= 0.0:
+        raise ValueError(f"duration must be non-negative, got {duration_s}")
+    if not offered_gbps >= 0.0:
+        raise ValueError(f"offered rate must be non-negative, got {offered_gbps}")
+    if not floor_s > 0.0:
+        raise ValueError(f"step floor must be positive, got {floor_s}")
+    return _segments(model, duration_s, offered_gbps, floor_s, max_step_s, end_s)
+
+
+def _segments(model, remaining, offered_gbps, floor_s, max_step_s, end_s):
+    while remaining > end_s:
+        rate = min(offered_gbps, model.limit())
+        step = min(remaining, max(min(model.horizon(rate), max_step_s), floor_s))
+        model.advance(step, rate)
+        remaining -= step
+        cap = yield step, rate
+        if cap is not None:
+            max_step_s = cap
+            yield None  # the value of the caller's send()
 
 
 class FleetSlot:
@@ -126,7 +187,7 @@ class LinkModel(ABC):
     def rest(self, duration_s: float) -> None:
         """Idle for ``duration_s`` seconds (no traffic offered).
 
-        Generic fallback: integrate at the model's idle horizon, with a
+        Generic fallback: :func:`drive` at zero offered load, with a
         step floor of ``duration_s / 10_000`` so a shaper reporting a
         vanishing horizon (a token bucket sitting at its resume
         threshold, say) is bounded to a fixed step count rather than
@@ -134,14 +195,9 @@ class LinkModel(ABC):
         idle dynamics override this (:class:`TokenBucketModel` refills
         in a single analytic step).
         """
-        if not duration_s >= 0.0:
-            raise ValueError(f"duration must be non-negative, got {duration_s}")
-        remaining = duration_s
-        min_step = duration_s / _MAX_REST_STEPS
-        while remaining > 1e-9:
-            step = min(remaining, max(self.horizon(0.0), min_step, 1e-6))
-            self.advance(step, 0.0)
-            remaining -= step
+        floor = _rest_floor(duration_s)
+        for _ in drive(self, duration_s, 0.0, floor, end_s=_REST_END_S):
+            pass
 
 
 class ConstantRateModel(LinkModel):
@@ -168,53 +224,3 @@ class ConstantRateModel(LinkModel):
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"ConstantRateModel({self._rate} Gbps)"
-
-
-class TransferResult:
-    """Outcome of integrating a transfer through a link model."""
-
-    __slots__ = ("transferred_gbit", "duration_s")
-
-    def __init__(self, transferred_gbit: float, duration_s: float) -> None:
-        self.transferred_gbit = transferred_gbit
-        self.duration_s = duration_s
-
-    @property
-    def mean_rate_gbps(self) -> float:
-        """Average achieved rate over the interval."""
-        if self.duration_s == 0:
-            return 0.0
-        return self.transferred_gbit / self.duration_s
-
-
-def integrate_transfer(
-    model: LinkModel,
-    duration_s: float,
-    offered_gbps: float,
-    max_step_s: float = math.inf,
-) -> TransferResult:
-    """Send at ``offered_gbps`` (or the ceiling) for ``duration_s``.
-
-    The achieved rate at each instant is ``min(offered, model.limit())``;
-    integration steps at the model's horizon so piecewise-constant
-    ceilings are integrated exactly.  ``max_step_s`` additionally bounds
-    each step, useful when the caller wants sub-interval samples.
-    """
-    if duration_s < 0:
-        raise ValueError(f"duration must be non-negative, got {duration_s}")
-    if offered_gbps < 0:
-        raise ValueError(f"offered rate must be non-negative, got {offered_gbps}")
-
-    remaining = duration_s
-    transferred = 0.0
-    # Guard against pathological zero-length horizons from buggy models.
-    min_step = 1e-9
-    while remaining > 1e-12:
-        rate = min(offered_gbps, model.limit())
-        step = min(remaining, model.horizon(rate), max_step_s)
-        step = max(step, min_step)
-        step = min(step, remaining)
-        model.advance(step, rate)
-        transferred += rate * step
-        remaining -= step
-    return TransferResult(transferred_gbit=transferred, duration_s=duration_s)

@@ -27,6 +27,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from repro.netmodel.base import drive
+
 __all__ = ["CpuBucketParams", "CpuTokenBucket"]
 
 
@@ -45,12 +47,13 @@ class CpuBucketParams:
     max_credits: float
 
     def __post_init__(self) -> None:
+        # Written to fail on NaN, which passes ``< 0`` and ``<= 0``.
         if not 0.0 < self.baseline_fraction <= 1.0:
             raise ValueError("baseline must be a fraction of a core in (0, 1]")
-        if self.initial_credits < 0:
-            raise ValueError("initial credits cannot be negative")
-        if self.max_credits <= 0:
-            raise ValueError("max credits must be positive")
+        if not self.initial_credits >= 0:
+            raise ValueError(f"initial credits must be >= 0: {self.initial_credits}")
+        if not self.max_credits > 0:
+            raise ValueError(f"max credits must be positive, got {self.max_credits}")
         if self.initial_credits > self.max_credits:
             raise ValueError("initial credits cannot exceed the maximum")
 
@@ -105,6 +108,9 @@ class CpuTokenBucket:
         """
         return self.params.baseline_fraction if self._throttled else 1.0
 
+    #: The ceiling :func:`~repro.netmodel.base.drive` sends under.
+    limit = speed_factor
+
     def _net_accrual(self, usage_fraction: float) -> float:
         return self.params.baseline_fraction - usage_fraction
 
@@ -126,8 +132,8 @@ class CpuTokenBucket:
 
     def advance(self, dt: float, usage_fraction: float) -> None:
         """Account ``dt`` seconds of CPU usage at ``usage_fraction``."""
-        if dt < 0:
-            raise ValueError("dt cannot be negative")
+        if not dt >= 0:
+            raise ValueError(f"dt must be non-negative, got {dt}")
         if not 0.0 <= usage_fraction <= 1.0:
             raise ValueError("usage must be a fraction of a core")
         net = self._net_accrual(usage_fraction)
@@ -147,19 +153,24 @@ class CpuTokenBucket:
         full speed, then crawl at the baseline — exactly how a
         credit-exhausted analytics node behaves.
         """
-        if work_core_s < 0:
-            raise ValueError("work cannot be negative")
+        if not work_core_s >= 0:
+            raise ValueError(f"work must be non-negative, got {work_core_s}")
         remaining = work_core_s
         elapsed = 0.0
-        guard = 0
+        # Offered load is the whole core; each step is capped at the
+        # wall time that finishes the remaining work at the current speed.
+        segments = drive(self, math.inf, 1.0, 1e-9, remaining / self.limit())
+        steps = 0
         while remaining > 1e-12:
-            guard += 1
-            if guard > 10_000:
-                raise RuntimeError("CPU bucket failed to converge")
-            speed = self.speed_factor()
-            step = min(self.horizon(1.0 * speed), remaining / speed)
-            step = max(step, 1e-9)
-            self.advance(step, 1.0 * speed)
+            if steps == 10_000:
+                raise RuntimeError(
+                    f"CPU bucket failed to converge in {steps} steps: "
+                    f"{remaining} core-s of work left, {self._credits} credits, "
+                    f"speed factor {self.speed_factor()}"
+                )
+            step, speed = next(segments)
+            steps += 1
             remaining -= speed * step
             elapsed += step
+            segments.send(remaining / self.limit())
         return elapsed

@@ -58,10 +58,11 @@ from typing import Sequence
 import numpy as np
 
 from repro.netmodel.base import (
-    _MAX_REST_STEPS,
+    _REST_END_S,
     ConstantRateModel,
     FleetSlot,
     LinkModel,
+    _rest_floor,
 )
 from repro.netmodel.percore import PerCoreQosModel
 from repro.netmodel.stochastic import (
@@ -648,12 +649,12 @@ class ResamplingFleet(LinkModelFleet):
         return self._report_indices(changed)
 
     def rest(self, duration_s: float) -> None:
-        # Mirrors the generic LinkModel.rest horizon-stepping loop per
-        # link (the clockwork is RNG-independent, so step sizes and
+        # Replays LinkModel.rest's drive per link with its floor and end
+        # tolerance (the clockwork is RNG-independent, so step sizes and
         # crossing counts replicate exactly), then takes every crossed
         # boundary's draw in one batched RNG call per link.
         _check_duration(duration_s)
-        min_step = duration_s / _MAX_REST_STEPS
+        floor = _rest_floor(duration_s)
         elapsed = self._elapsed
         current = self._current
         for i, model in enumerate(self.models):
@@ -661,8 +662,8 @@ class ResamplingFleet(LinkModelFleet):
             e = float(elapsed[i])
             remaining = duration_s
             k = 0
-            while remaining > 1e-9:
-                step = min(remaining, max(interval - e, min_step, 1e-6))
+            while remaining > _REST_END_S:
+                step = min(remaining, max(interval - e, floor))
                 e, crossings = _wrap_interval(e + step, interval)
                 k += crossings
                 remaining -= step

@@ -18,6 +18,7 @@ from repro.emulator import (
     tc_script,
 )
 from repro.netmodel import ConstantRateModel, TokenBucketModel, TokenBucketParams
+from repro.netmodel.base import drive
 
 PARAMS = TokenBucketParams(
     peak_gbps=10.0, capped_gbps=1.0, replenish_gbps=0.95, capacity_gbit=5_400.0
@@ -87,14 +88,13 @@ class TestDiscreteShaper:
     def test_discrete_agrees_with_fluid_model(self, offered, duration):
         """The tick shaper and the fluid model are independent
         implementations of the same algorithm; totals must agree."""
-        from repro.netmodel.base import integrate_transfer
-
         tick = 0.05
         discrete = DiscreteTokenBucket(PARAMS, tick_s=tick)
         total_discrete = sum(discrete.run(offered, duration))
 
         fluid = TokenBucketModel(PARAMS)
-        total_fluid = integrate_transfer(fluid, duration, offered).transferred_gbit
+        segments = drive(fluid, duration, offered, 1e-9)
+        total_fluid = sum(rate * dt for dt, rate in segments)
 
         assert total_discrete == pytest.approx(total_fluid, rel=0.02, abs=1.0)
 
@@ -158,8 +158,21 @@ class TestEmulatedLink:
         assert burst2[0].bandwidth_gbps > 5.0
         assert burst2[-1].bandwidth_gbps == pytest.approx(1.0, abs=0.1)
 
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            EmulatedLink(ConstantRateModel(1.0), FULL_SPEED, offered_gbps=0.0)
-        with pytest.raises(ValueError):
-            EmulatedLink(ConstantRateModel(1.0), FULL_SPEED, report_interval_s=0.0)
+    @pytest.mark.parametrize("offered", [0.0, -1.0, math.nan])
+    def test_offered_rate_validation(self, offered):
+        with pytest.raises(ValueError, match="offered rate"):
+            EmulatedLink(ConstantRateModel(1.0), FULL_SPEED, offered_gbps=offered)
+
+    @pytest.mark.parametrize("interval", [0.0, -10.0, math.nan])
+    def test_report_interval_validation(self, interval):
+        with pytest.raises(ValueError, match="report interval"):
+            EmulatedLink(
+                ConstantRateModel(1.0), FULL_SPEED, report_interval_s=interval
+            )
+
+    @pytest.mark.parametrize("pattern", [FULL_SPEED, TEN_THIRTY])
+    @pytest.mark.parametrize("duration", [-1.0, math.nan])
+    def test_run_duration_validation(self, pattern, duration):
+        link = EmulatedLink(ConstantRateModel(1.0), pattern)
+        with pytest.raises(ValueError, match=f"got {duration}"):
+            link.run(duration)

@@ -32,6 +32,15 @@ class TestParams:
         with pytest.raises(ValueError):
             CpuBucketParams(baseline_fraction=0.2, initial_credits=5.0, max_credits=1.0)
 
+    @pytest.mark.parametrize(
+        "initial, maximum", [(math.nan, 10.0), (5.0, math.nan), (-1.0, 10.0)]
+    )
+    def test_nan_and_negative_credits_rejected(self, initial, maximum):
+        with pytest.raises(ValueError, match="credits"):
+            CpuBucketParams(
+                baseline_fraction=0.2, initial_credits=initial, max_credits=maximum
+            )
+
 
 class TestBucket:
     def test_fresh_instance_runs_full_speed(self):
@@ -85,6 +94,29 @@ class TestBucket:
             bucket.horizon(2.0)
         with pytest.raises(ValueError):
             bucket.run_at_full_speed(-1.0)
+
+    @pytest.mark.parametrize("work", [-1.0, math.nan])
+    def test_bad_work_rejected(self, work):
+        with pytest.raises(ValueError, match=f"got {work}"):
+            CpuTokenBucket(T2_MEDIUM_LIKE).run_at_full_speed(work)
+
+    def test_zero_work_takes_no_time(self):
+        bucket = CpuTokenBucket(T2_MEDIUM_LIKE)
+        assert bucket.run_at_full_speed(0.0) == 0.0
+        assert bucket.credits == T2_MEDIUM_LIKE.initial_credits
+
+    def test_non_convergence_names_its_state(self):
+        class StuckBucket(CpuTokenBucket):
+            # A horizon that never lets a step past the 1 ns floor.
+            def horizon(self, usage_fraction):
+                return 0.0
+
+        with pytest.raises(RuntimeError) as info:
+            StuckBucket(T2_MEDIUM_LIKE).run_at_full_speed(1.0)
+        message = str(info.value)
+        assert "core-s of work left" in message
+        assert "credits" in message
+        assert "speed factor 1.0" in message
 
     @given(
         baseline=st.floats(min_value=0.05, max_value=0.95),

@@ -107,9 +107,10 @@ class TestGenericRestFallback:
         model.rest(100.0)  # must simply terminate
         assert model.limit() == 10.0
 
-    def test_negative_duration_rejected(self):
-        with pytest.raises(ValueError):
-            _TinyHorizonModel().rest(-0.5)
+    @pytest.mark.parametrize("duration", [-0.5, math.nan])
+    def test_negative_duration_rejected(self, duration):
+        with pytest.raises(ValueError, match=f"got {duration}"):
+            _TinyHorizonModel().rest(duration)
 
 
 class TestRestFabric:
