@@ -114,11 +114,13 @@ def identify_token_bucket(
         raise ValueError(f"probe interval must be positive, got {probe_interval_s}")
     model.reset()
     samples: list[float] = []
+    steps: list[float] = []
     elapsed = 0.0
     probe = drive(model, math.inf, math.inf, 1e-6, probe_interval_s)
     while elapsed < max_duration_s:
         step, rate = next(probe)
         samples.append(rate)
+        steps.append(step)
         elapsed += step
         if len(samples) > stabilize_intervals:
             head = float(np.mean(samples[: max(3, stabilize_intervals // 3)]))
@@ -127,7 +129,7 @@ def identify_token_bucket(
             tail_stable = float(np.std(tail)) < 0.05 * max(tail_mean, 1e-9)
             if tail_stable and tail_mean < head * (1.0 - drop_fraction):
                 return _finish_identification(
-                    model, samples, tail_mean, head, rest_probe_s
+                    model, samples, steps, tail_mean, head, rest_probe_s
                 )
     return TokenBucketEstimate(
         detected=False,
@@ -141,6 +143,7 @@ def identify_token_bucket(
 def _finish_identification(
     model: LinkModel,
     samples: list[float],
+    steps: list[float],
     low_gbps: float,
     high_gbps: float,
     rest_probe_s: float,
@@ -150,7 +153,9 @@ def _finish_identification(
     drop_index = next(
         (i for i, s in enumerate(samples) if s < threshold), len(samples) - 1
     )
-    time_to_empty = float(drop_index)
+    # Samples last up to one probe interval, less where the horizon
+    # ends them early: the drop instant is the time they cover.
+    time_to_empty = math.fsum(steps[:drop_index])
 
     # Replenish estimation: rest, then burn the accumulated budget at
     # the high rate; budget ~= replenish * rest time.

@@ -170,6 +170,24 @@ class TestFingerprinting:
         assert estimate.low_gbps == pytest.approx(1.0, rel=0.1)
         assert estimate.replenish_gbps == pytest.approx(0.95, rel=0.3)
 
+    def test_time_to_empty_is_seconds_at_any_probe_interval(self, rng):
+        provider = Ec2Provider()
+        params = provider.sample_bucket_params("c5.xlarge", rng)
+        for interval in (0.5, 1.0, 2.0):
+            estimate = identify_token_bucket(
+                TokenBucketModel(params), probe_interval_s=interval
+            )
+            assert estimate.time_to_empty_s == pytest.approx(
+                params.time_to_empty_s, rel=1e-9
+            )
+
+    @pytest.mark.parametrize("interval", [0.0, -1.0, math.nan])
+    def test_probe_interval_validation(self, interval):
+        with pytest.raises(ValueError, match="probe interval"):
+            identify_token_bucket(
+                TokenBucketModel(PARAMS), probe_interval_s=interval
+            )
+
     def test_budget_estimate(self):
         model = TokenBucketModel(PARAMS)
         estimate = identify_token_bucket(model)

@@ -73,7 +73,7 @@ FINGERPRINTS = {
         "loaded_latency_ms": "0x1.11a513c2001ffp-1",
         "token_bucket": {
             "detected": True,
-            "time_to_empty_s": "0x1.3080000000000p+9",
+            "time_to_empty_s": "0x1.3049fddfa2beep+9",
             "high_gbps": "0x1.4000000000000p+3",
             "low_gbps": "0x1.f1db0edf7b905p-1",
             "replenish_gbps": "0x1.d66dec86d5b5ap-1",
@@ -127,7 +127,7 @@ def test_fingerprint_link_pins(provider_name):
 IDENTIFICATIONS = {
     0: {
         "detected": True,
-        "time_to_empty_s": "0x1.3080000000000p+9",
+        "time_to_empty_s": "0x1.3049fddfa2beep+9",
         "high_gbps": "0x1.4000000000000p+3",
         "low_gbps": "0x1.f1db0edf7b905p-1",
         "replenish_gbps": "0x1.d66dec86d5b5ap-1",
@@ -135,7 +135,7 @@ IDENTIFICATIONS = {
     },
     1: {
         "detected": True,
-        "time_to_empty_s": "0x1.3f80000000000p+9",
+        "time_to_empty_s": "0x1.3f4d5c52f117ep+9",
         "high_gbps": "0x1.4000000000000p+3",
         "low_gbps": "0x1.0dd697354028bp+0",
         "replenish_gbps": "0x1.fdb0a0e09b3abp-1",
@@ -143,7 +143,7 @@ IDENTIFICATIONS = {
     },
     2: {
         "detected": True,
-        "time_to_empty_s": "0x1.3400000000000p+9",
+        "time_to_empty_s": "0x1.33e361fe326a0p+9",
         "high_gbps": "0x1.4000000000000p+3",
         "low_gbps": "0x1.f39e8a2c4427ep-1",
         "replenish_gbps": "0x1.d815fe226b0f6p-1",

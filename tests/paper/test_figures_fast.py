@@ -193,7 +193,7 @@ class TestFig11:
     def test_identification_with_few_tests(self):
         result = fig11.reproduce(tests_per_type=4)
         assert result_digest(result) == (
-            "5f3aea53c26ce20e00b39a013781583a627349d597be91241e07ae667bc2fc2a"
+            "60dc2b3dd7577a94212bcef13f39810d574e7dd80b1f24822a0304b9d110a5cf"
         )
         assert result.monotone_in_size()
         assert result.incarnations_inconsistent()
