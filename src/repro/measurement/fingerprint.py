@@ -200,6 +200,8 @@ def fingerprint_link(
     any token bucket can empty); base latency from an unloaded latency
     sample; loaded latency from the 99th percentile under load.
     """
+    if not base_probe_s > 0:
+        raise ValueError(f"base probe must be positive, got {base_probe_s}")
     if rng is None:
         rng = np.random.default_rng(0)
     model.reset()

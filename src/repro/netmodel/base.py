@@ -95,10 +95,11 @@ def drive(
 
 
 def _segments(model, remaining, offered_gbps, floor_s, max_step_s, end_s):
+    limit, horizon, advance = model.limit, model.horizon, model.advance
     while remaining > end_s:
-        rate = min(offered_gbps, model.limit())
-        step = min(remaining, max(min(model.horizon(rate), max_step_s), floor_s))
-        model.advance(step, rate)
+        rate = min(offered_gbps, limit())
+        step = min(remaining, max(min(horizon(rate), max_step_s), floor_s))
+        advance(step, rate)
         remaining -= step
         cap = yield step, rate
         if cap is not None:

@@ -153,8 +153,8 @@ class CpuTokenBucket:
         full speed, then crawl at the baseline — exactly how a
         credit-exhausted analytics node behaves.
         """
-        if not work_core_s >= 0:
-            raise ValueError(f"work must be non-negative, got {work_core_s}")
+        if not 0 <= work_core_s < math.inf:
+            raise ValueError(f"work must be non-negative and finite, got {work_core_s}")
         remaining = work_core_s
         elapsed = 0.0
         # Offered load is the whole core; each step is capped at the

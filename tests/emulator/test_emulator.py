@@ -158,17 +158,18 @@ class TestEmulatedLink:
         assert burst2[0].bandwidth_gbps > 5.0
         assert burst2[-1].bandwidth_gbps == pytest.approx(1.0, abs=0.1)
 
-    @pytest.mark.parametrize("offered", [0.0, -1.0, math.nan])
-    def test_offered_rate_validation(self, offered):
-        with pytest.raises(ValueError, match="offered rate"):
-            EmulatedLink(ConstantRateModel(1.0), FULL_SPEED, offered_gbps=offered)
-
-    @pytest.mark.parametrize("interval", [0.0, -10.0, math.nan])
-    def test_report_interval_validation(self, interval):
-        with pytest.raises(ValueError, match="report interval"):
-            EmulatedLink(
-                ConstantRateModel(1.0), FULL_SPEED, report_interval_s=interval
-            )
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("offered_gbps", 0.0),
+            ("offered_gbps", math.nan),
+            ("report_interval_s", 0.0),
+            ("report_interval_s", math.nan),
+        ],
+    )
+    def test_validation(self, field, value):
+        with pytest.raises(ValueError, match=f"got {value}"):
+            EmulatedLink(ConstantRateModel(1.0), FULL_SPEED, **{field: value})
 
     @pytest.mark.parametrize("pattern", [FULL_SPEED, TEN_THIRTY])
     @pytest.mark.parametrize("duration", [-1.0, math.nan])

@@ -188,6 +188,14 @@ class TestFingerprinting:
                 TokenBucketModel(PARAMS), probe_interval_s=interval
             )
 
+    @pytest.mark.parametrize("probe_s", [0.0, -1.0, math.nan])
+    def test_base_probe_validation(self, probe_s):
+        provider = Ec2Provider()
+        with pytest.raises(ValueError, match="base probe"):
+            fingerprint_link(
+                TokenBucketModel(PARAMS), provider.latency_model(), base_probe_s=probe_s
+            )
+
     def test_budget_estimate(self):
         model = TokenBucketModel(PARAMS)
         estimate = identify_token_bucket(model)

@@ -32,10 +32,8 @@ class TestParams:
         with pytest.raises(ValueError):
             CpuBucketParams(baseline_fraction=0.2, initial_credits=5.0, max_credits=1.0)
 
-    @pytest.mark.parametrize(
-        "initial, maximum", [(math.nan, 10.0), (5.0, math.nan), (-1.0, 10.0)]
-    )
-    def test_nan_and_negative_credits_rejected(self, initial, maximum):
+    @pytest.mark.parametrize("initial, maximum", [(math.nan, 10.0), (5.0, math.nan)])
+    def test_nan_credits_rejected(self, initial, maximum):
         with pytest.raises(ValueError, match="credits"):
             CpuBucketParams(
                 baseline_fraction=0.2, initial_credits=initial, max_credits=maximum
@@ -95,8 +93,8 @@ class TestBucket:
         with pytest.raises(ValueError):
             bucket.run_at_full_speed(-1.0)
 
-    @pytest.mark.parametrize("work", [-1.0, math.nan])
-    def test_bad_work_rejected(self, work):
+    @pytest.mark.parametrize("work", [math.nan, math.inf])
+    def test_nan_or_infinite_work_rejected(self, work):
         with pytest.raises(ValueError, match=f"got {work}"):
             CpuTokenBucket(T2_MEDIUM_LIKE).run_at_full_speed(work)
 
