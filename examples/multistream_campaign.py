@@ -4,17 +4,19 @@ A campaign matrix is hundreds of *independent* small simulations, and
 for small cells the serial cost of each event step is dominated by
 numpy ufunc dispatch on tiny arrays — above all the shaper fleet's
 ``horizons``/``advance`` pair, paid per cell per step.
-``repro.simulator.multistream.run_streams`` amortizes that dispatch:
-it concatenates every cell's shaper fleet into one super-fleet and
-advances all live cells in lockstep rounds with a single batched
-fleet call pair per round, while each cell still steps by its own
-event horizon.  Per-cell arithmetic, RNG draws, and event order are
-untouched, so results are byte-identical to serial ``run_stream``
-calls — the identity this example asserts before printing a speedup.
+``repro.simulator.core.run_cores``, handed many cells at once,
+amortizes that dispatch: it concatenates every cell's shaper fleet
+into one super-fleet and advances all live cells in lockstep rounds
+with a single batched fleet call pair per round, while each cell
+still steps by its own event horizon.  Per-cell arithmetic, RNG
+draws, and event order are untouched, so results are byte-identical
+to serial ``run_stream`` calls — the identity this example asserts
+before printing a speedup.
 
 Two entry points are shown:
 
-1. the raw runner — build ``StreamTask``s, call ``run_streams``;
+1. the raw runner — build each cell's ``SparkEngine.stream_state``,
+   call ``run_cores`` once on all of them;
 2. the campaign form — ``ScenarioCampaign(configs)`` runs a whole
    cached scenario matrix through the same machinery by default
    (chained cells run one at a time), checked here against
@@ -33,7 +35,7 @@ from repro.runtime import SerialExecutor
 from repro.scenarios.generate import job_stream, poisson_arrivals
 from repro.scenarios.orchestrate import ScenarioCampaign, ScenarioConfig
 from repro.simulator import Cluster, NodeSpec, SparkEngine
-from repro.simulator.multistream import StreamTask, run_streams
+from repro.simulator.core import run_cores
 
 N_CELLS = 16
 
@@ -64,12 +66,11 @@ def raw_runner() -> None:
     ]
     serial_wall = time.perf_counter() - start
 
-    tasks = [
-        StreamTask(engine, stream, scheduler="fair")
-        for engine, stream in build_cells()
-    ]
+    cells = build_cells()
     start = time.perf_counter()
-    batched = run_streams(tasks)
+    batched = run_cores(
+        [engine.stream_state(stream, scheduler="fair") for engine, stream in cells]
+    )
     batch_wall = time.perf_counter() - start
 
     # Byte-identity is the contract, not an approximation: every

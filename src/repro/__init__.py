@@ -14,9 +14,9 @@ Uta et al., packaged as a reusable library:
   with single-job and multi-tenant job-stream execution under five
   slot schedulers (FIFO, fair, checkpoint-preempting fair, SRPT, and
   deadline/EDF with per-tenant slowdown and miss telemetry), plus a
-  batched multi-stream runner (:mod:`repro.simulator.multistream`)
-  that advances many independent cells through one concatenated
-  shaper super-fleet in lockstep;
+  single event loop (:func:`repro.simulator.core.run_cores`) that
+  advances many independent cells through one concatenated shaper
+  super-fleet in lockstep;
 * :mod:`repro.serving` — a request-serving layer on the same event
   core and fabric: microservice call trees
   (:class:`~repro.serving.topology.ServiceTopology`), lazy open-loop
@@ -80,17 +80,20 @@ golden trace and ``repro bench --check``:
    step costs a handful of array ops instead of a Python loop over
    links.  Each hot loop has one implementation: a list loop for few
    flows and numpy sweeps above ``_SWEEP_CUTOVER``.
-2. **Batched multi-stream execution.**
-   :func:`repro.simulator.multistream.run_cores` stitches many
-   independent cells' fleets into one concatenated super-fleet and
-   advances all cells' event cores (DAG streams or serving) per
-   lockstep round with a single ``horizons`` / ``advance`` call pair,
+2. **One event loop, batched across cells.**
+   :func:`repro.simulator.core.run_cores` is the only loop that steps
+   event cores (DAG streams or serving); ``EventCore.execute`` is its
+   one-core call.  The per-core step is written once, and the loop
+   branches on the core count only where it takes horizons and
+   advances the fabric.  A lone core asks its own fabric, which skips
+   the shaper fleet while a cached floor clears the next flow
+   completion.  Two or more cores share one concatenated super-fleet
+   and one ``horizons`` / ``advance`` call pair per lockstep round,
    ``advance`` taking one ``dt`` per link — the SoA trick applied
-   across cells — which amortizes per-cell numpy dispatch and makes
-   million-cell campaign matrices cheap.  The campaign runtime's
-   default single-process batch executor sends runs of independent
-   cells through it; per-cell results are byte-identical to serial
-   runs.
+   across cells — which amortizes per-cell numpy dispatch over
+   campaign matrices.  The campaign runtime's default single-process
+   batch executor sends runs of independent cells through it; a
+   core's result is byte-identical however many cores share its call.
 
 **Cold start.**  Repetition at scale means many fresh processes: CLI
 calls, perfbench set-ups, and every shard worker a campaign launches

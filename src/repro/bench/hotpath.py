@@ -298,7 +298,7 @@ def bench_multistream(
 
     Builds ``n_cells`` independent shaper-transition-dominated scenario
     cells twice from the same seeds, runs one set serially and the
-    other through :func:`~repro.simulator.multistream.run_streams`
+    other through :func:`~repro.simulator.core.run_cores` in one call
     (one concatenated super-fleet, lockstep rounds), and demands the
     per-cell results be *byte-identical* — every runtime array, step
     count, and makespan — before reporting ``batch_speedup``.  The
@@ -312,7 +312,7 @@ def bench_multistream(
     flips dominate the event schedule), with telemetry sampling made
     sparse so both paths measure simulation, not recording.
     """
-    from repro.simulator.multistream import StreamTask, run_streams
+    from repro.simulator.core import run_cores
 
     def build_cells() -> list[tuple[SparkEngine, list]]:
         cells = []
@@ -357,13 +357,15 @@ def bench_multistream(
     wall_s = math.inf
     batched = None
     for _ in range(repeats):
-        tasks = [
-            StreamTask(engine, stream, scheduler="fair")
-            for engine, stream in build_cells()
-        ]
+        batch_cells = build_cells()
         gc.collect()
         start = time.perf_counter()
-        result = run_streams(tasks)
+        result = run_cores(
+            [
+                engine.stream_state(stream, scheduler="fair")
+                for engine, stream in batch_cells
+            ]
+        )
         wall = time.perf_counter() - start
         if wall < wall_s:
             wall_s, batched = wall, result

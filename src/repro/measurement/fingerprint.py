@@ -112,6 +112,16 @@ def identify_token_bucket(
     """
     if not probe_interval_s > 0:
         raise ValueError(f"probe interval must be positive, got {probe_interval_s}")
+    # Written to fail on NaN.  An infinite max duration never ends on a
+    # link without a bucket, and an infinite rest measures nothing.
+    if not 0.0 < max_duration_s < math.inf:
+        raise ValueError(
+            f"max duration must be positive and finite, got {max_duration_s}"
+        )
+    if not 0.0 <= rest_probe_s < math.inf:
+        raise ValueError(
+            f"rest probe must be non-negative and finite, got {rest_probe_s}"
+        )
     model.reset()
     samples: list[float] = []
     steps: list[float] = []

@@ -180,8 +180,10 @@ class TokenBucketModel(LinkModel):
     def advance(self, dt: float, send_rate_gbps: float) -> None:
         if not dt >= 0.0:
             raise ValueError(f"dt must be non-negative, got {dt}")
-        if send_rate_gbps < 0:
-            raise ValueError("send rate cannot be negative")
+        if not send_rate_gbps >= 0.0:
+            raise ValueError(
+                f"send rate must be non-negative, got {send_rate_gbps}"
+            )
         params = self.params
         budget = self._budget + (params.replenish_gbps - send_rate_gbps) * dt
         if budget < 0.0:

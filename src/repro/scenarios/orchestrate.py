@@ -63,7 +63,7 @@ from repro.scenarios.generate import (
 )
 from repro.simulator.cluster import Cluster, NodeSpec
 from repro.simulator.engine import SCHEDULERS, SparkEngine
-from repro.simulator.multistream import StreamTask, run_cells, stream_state
+from repro.simulator.multistream import run_cells
 from repro.stats.confirm import confirm_curve
 from repro.stats.cov import coefficient_of_variation
 from repro.trace import BandwidthTrace
@@ -383,8 +383,8 @@ class _PreparedScenario:
     @property
     def state(self):
         """A fresh unrun stream state for the cell, for the batched driver."""
-        return stream_state(
-            StreamTask(self.engine, self.stream, self.config.scheduler, self.fabric)
+        return self.engine.stream_state(
+            self.stream, fabric=self.fabric, scheduler=self.config.scheduler
         )
 
 

@@ -344,7 +344,7 @@ def prepare_serving(
         duration_s=config.duration_s,
         # Lazy: arrival gaps draw from the same cell generator as the
         # compute noise, interleaved in event order — deterministic,
-        # and identical between the serial and batched drivers.
+        # and identical whether the cell runs alone or batched.
         arrivals=_build_arrivals(config, rng),
         users=config.users,
         think_s=config.think_s,

@@ -1,23 +1,16 @@
 """The workload-agnostic event-driven core of the fluid simulation.
 
-Historically the event loop lived inside the engine's ``_StreamState``,
-interleaved with DAG-job bookkeeping.  This module is that loop with
-the workload factored out: :class:`EventCore` owns simulated time, the
-timer heap, telemetry sampling, observability dispatch, and the
-begin / step-prologue / step-epilogue / finish protocol the batched
-multistream driver also speaks — while everything *workload-shaped*
-(what arrives, what a timer completion means, what gets dispatched
-onto the fabric) happens through the :class:`WorkloadSource` hooks a
-subclass implements.
+:class:`EventCore` owns simulated time, the timer heap, telemetry
+sampling, observability dispatch, and the begin / step-prologue /
+step-epilogue / finish protocol; everything *workload-shaped* (what
+arrives, what a timer completion means, what gets dispatched onto the
+fabric) happens through the :class:`WorkloadSource` hooks a subclass
+implements.
 
 Two workloads ride the core today:
 
 * ``repro.simulator.engine._StreamState`` — DAG job streams under the
-  fifo/fair/preempt/srpt/edf schedulers.  The split is purely
-  structural: every statement of the pre-split loop runs in the same
-  order with the same operands, so golden traces, scheduler
-  checksums, and the ``repro bench --check`` checksums are
-  bit-identical to the monolithic implementation.
+  fifo/fair/preempt/srpt/edf schedulers.
 * ``repro.serving.state.ServingState`` — open/closed-loop request
   serving over microservice call trees (per-hop fabric flows, think
   timers, SLO latency telemetry).
@@ -25,15 +18,31 @@ Two workloads ride the core today:
 An event step is::
 
     events_in = state.step_prologue()        # rates, telemetry, bound
-    dt = min(fabric.horizon(), events_in)    # piecewise-exact step
-    completed = fabric.advance(dt)
+    dt = min(horizon, events_in)             # piecewise-exact step
+    completed = <advance shapers and flows by dt>
     state.step_epilogue(dt, completed)       # timers, arrivals, dispatch
 
-:meth:`EventCore.execute` drives that loop serially;
-:func:`repro.simulator.multistream.run_cores` drives many cores in
-lockstep through one concatenated shaper super-fleet.  Both produce
-bit-identical results because the per-core arithmetic is unchanged —
-only who calls the hooks differs.
+:func:`run_cores` is the one loop that steps cores.  It writes the
+per-core work once — prologue, the choice of ``dt`` with its deadlock
+and NaN checks, the epilogue, the step budget and parking — and
+branches on the core count in two places only, where the horizon is
+taken and where the fabric advances:
+
+* one core asks its own fabric: :meth:`~repro.simulator.fabric.Fabric.horizon`,
+  which skips the shaper fleet while its cached floor clears the next
+  flow completion, and :meth:`~repro.simulator.fabric.Fabric.advance`;
+* two or more cores advance in lockstep rounds through one
+  concatenated shaper super-fleet (:func:`~repro.netmodel.fleet.concat_fleets`):
+  one ``horizons`` and one per-link-``dt`` ``advance`` call per round
+  for every core, which amortizes numpy dispatch across campaign
+  cells.  Each core still steps by its own ``dt``; lockstep
+  synchronizes Python-level rounds, never simulated clocks.
+
+Both branches run the same per-core arithmetic in the same order (the
+fleet operations are elementwise in ``dt`` and the horizon combine only
+selects among float64 values), so a core's result does not depend on
+how many cores share its call.  :meth:`EventCore.execute` is the
+one-core call.
 """
 
 from __future__ import annotations
@@ -41,11 +50,13 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from typing import Protocol, runtime_checkable
+from typing import Protocol, Sequence, runtime_checkable
 
 import numpy as np
 
-__all__ = ["EventCore", "WorkloadSource", "MAX_STEPS"]
+from repro.netmodel.fleet import concat_fleets
+
+__all__ = ["EventCore", "WorkloadSource", "MAX_STEPS", "run_cores"]
 
 #: Safety valve: steps one workload unit (job, request pool) may need.
 MAX_STEPS = 5_000_000
@@ -141,8 +152,9 @@ class EventCore:
         #: workloads that actually cancel timers (the preemptive
         #: scheduler) pay for the purge scan.
         self._purge_cancelled = False
-        #: Step budget for :meth:`execute` and the batched driver;
-        #: subclasses scale it by their workload size.
+        #: Step budget: :func:`run_cores` refuses a core still running
+        #: after this many steps; subclasses scale it by their
+        #: workload size.
         self.max_steps = MAX_STEPS
         # Telemetry: growable preallocated buffers, one row per sample.
         capacity = 1024
@@ -224,16 +236,11 @@ class EventCore:
             new[:k] = old[:k]
             setattr(self, name, new)
 
-    # -- main loop ---------------------------------------------------------
+    # -- step protocol -----------------------------------------------------
     #
-    # The event loop is split into begin / step_prologue / step_epilogue
-    # / finish helpers so the serial loop below and the batched
-    # multistream driver (repro.simulator.multistream) share one
-    # definition of an event step.  Only the middle differs: the serial
-    # loop asks its own fabric for horizon() and advance(), the batched
-    # driver computes horizons and shaper advances for all cells in one
-    # super-fleet call and hands each cell its own dt.  Helper order is
-    # exactly the pre-split loop body, so serial traces are unchanged.
+    # run_cores (below) drives every core through these helpers; it
+    # alone chooses dt and advances the fabric between prologue and
+    # epilogue.
 
     def begin(self) -> None:
         """Admit and dispatch everything runnable at t=0."""
@@ -296,7 +303,7 @@ class EventCore:
         )
 
     def deadlock_error(self) -> RuntimeError:
-        """The error ``execute`` and ``run_cores`` raise when no event is due.
+        """The error :func:`run_cores` raises when no event is due.
 
         Workloads override it to append their queued work.
         """
@@ -308,18 +315,17 @@ class EventCore:
         )
 
     def step_budget_error(self) -> RuntimeError:
-        """The error both drivers raise when ``max_steps`` runs out."""
+        """The error :func:`run_cores` raises when ``max_steps`` runs out."""
         return RuntimeError(
             f"step budget exhausted at {self._state_dump()}; stream did "
             "not converge"
         )
 
     def nan_step_error(self, horizon: float, events_in: float) -> RuntimeError:
-        """The error both drivers raise when the step length is NaN.
+        """The error :func:`run_cores` raises when the step length is NaN.
 
-        A NaN horizon (from a shaper model, say) would otherwise reach
-        the fabric's ``dt`` check in ``execute`` and be clamped to a
-        zero step, forever, in ``run_cores``.
+        A NaN horizon (from a shaper model, say) would otherwise be
+        clamped to a zero step, forever.
         """
         return RuntimeError(
             f"NaN step at {self._state_dump()}: fabric horizon {horizon}, "
@@ -336,26 +342,151 @@ class EventCore:
         return self._build_result()
 
     def execute(self):
-        self.begin()
-        fabric = self.fabric
-        obs = self._obs
-        for _ in range(self.max_steps):
-            if self.all_done:
-                break
-            events_in = self.step_prologue()
-            horizon = fabric.horizon()
-            dt = min(horizon, events_in)
+        """Run this core to completion alone; returns its result."""
+        return run_cores([self])[0]
+
+
+def run_cores(states: Sequence[EventCore]) -> list:
+    """Run event cores to completion; one result per core, in order.
+
+    Every core — DAG stream states, serving states, any
+    :class:`EventCore` subclass — steps through the same loop, and its
+    result is bit-identical whatever else shares the call (see the
+    module docstring).  A core that steps ``max_steps`` times and is
+    not done raises :meth:`~EventCore.step_budget_error`; one that
+    finishes on its last budgeted step completes.
+
+    With two or more cores, every core's fleet must be the same
+    concrete class and no recorder may be attached
+    (:func:`~repro.netmodel.fleet.concat_fleets` raises ValueError).
+    """
+    states = list(states)
+    if not states:
+        return []
+    # The selection on core count: a lone core (lockstep None) runs on
+    # its own fabric, which keeps the serial shaper-floor skip.
+    lockstep = _Lockstep(states) if len(states) > 1 else None
+    alone = states[0]
+    n_cores = len(states)
+    events_in = [math.inf] * n_cores
+    horizons = [math.inf] * n_cores
+    dt_cores = [0.0] * n_cores
+    completed: list[list] = [[] for _ in states]
+    for state in states:
+        state.begin()
+    active = [ci for ci, state in enumerate(states) if not state.all_done]
+    while active:
+        for ci in active:
+            events_in[ci] = states[ci].step_prologue()
+        if lockstep is None:
+            horizons[0] = alone.fabric.horizon()
+        else:
+            lockstep.horizons(active, horizons)
+        for ci in active:
+            horizon = horizons[ci]
+            dt = min(horizon, events_in[ci])
             if math.isinf(dt):
-                raise self.deadlock_error()
+                raise states[ci].deadlock_error()
             if math.isnan(dt):
-                raise self.nan_step_error(horizon, events_in)
-            dt = max(dt, 0.0)
-            if obs is not None:
+                raise states[ci].nan_step_error(horizon, events_in[ci])
+            dt_cores[ci] = dt if dt > 0.0 else 0.0
+        if lockstep is None:
+            if alone._obs is not None:
                 # Shaper transitions fire from inside advance(); stamp
                 # them at the end of the step being integrated.
-                obs.now = self.now + dt
-            completed_flows = fabric.advance(dt)
-            self.step_epilogue(dt, completed_flows)
+                alone._obs.now = alone.now + dt_cores[0]
+            completed[0] = alone.fabric.advance(dt_cores[0])
         else:
-            raise self.step_budget_error()
-        return self.finish()
+            lockstep.advance(active, dt_cores, completed)
+        finished = False
+        for ci in active:
+            state = states[ci]
+            state.step_epilogue(dt_cores[ci], completed[ci])
+            if state.all_done:
+                # Park the core: a zero dt makes its links no-ops in
+                # every later lockstep round.
+                dt_cores[ci] = 0.0
+                finished = True
+            elif state._n_steps >= state.max_steps:
+                raise state.step_budget_error()
+        if finished:
+            active = [ci for ci in active if not states[ci].all_done]
+    if lockstep is not None:
+        lockstep.release()
+    return [state.finish() for state in states]
+
+
+class _Lockstep:
+    """Shaper work of two or more cores as one super-fleet per round.
+
+    The cores' fleets are stitched into one concatenated super-fleet
+    whose arrays the per-core fleets alias as slice views.  Each core's
+    fabric keeps its egress cache directly in its slice of
+    ``egress`` (see ``Fabric._egress_raw``), so the per-round
+    ``horizons`` and ``advance`` calls read every core's offered rates
+    without copying.  A parked core keeps dt 0: a zero-dt advance
+    changes no fleet state whatever its stale egress slice holds, and
+    its horizons are never read.
+    """
+
+    def __init__(self, states: list[EventCore]) -> None:
+        self.states = states
+        self.fleet = concat_fleets([state.fabric.fleet for state in states])
+        n_cores = len(states)
+        sizes = np.array([state.fabric.n_nodes for state in states], dtype=np.intp)
+        offsets = np.zeros(n_cores + 1, dtype=np.intp)
+        np.cumsum(sizes, out=offsets[1:])
+        self.starts = offsets[:-1]
+        self.lo = offsets[:-1].tolist()
+        self.hi = offsets[1:].tolist()
+        n_links = int(offsets[-1])
+        self.egress = np.zeros(n_links, dtype=float)
+        for state, lo, hi in zip(states, self.lo, self.hi):
+            fabric = state.fabric
+            fabric._egress_cache = None
+            fabric._egress_out = self.egress[lo:hi]
+        # Per-link dt expansion: one indexed gather per round instead
+        # of a fresh np.repeat allocation.
+        self.core_of_link = np.repeat(np.arange(n_cores, dtype=np.intp), sizes)
+        self.dt_links = np.empty(n_links, dtype=float)
+        self.dt_buf = np.zeros(n_cores, dtype=float)
+        self.changed_buf = np.empty(n_cores, dtype=bool)
+        self.unchanged = [False] * n_cores
+
+    def horizons(self, active: list[int], out: list[float]) -> None:
+        """Write each active core's horizon into ``out``, from one
+        super-fleet call."""
+        states = self.states
+        for ci in active:
+            # Refills the core's slice of egress in place (a no-op
+            # while its cached egress is valid).
+            states[ci].fabric._egress_raw()
+        shaper_all = self.fleet.horizons(self.egress).tolist()
+        lo, hi = self.lo, self.hi
+        for ci in active:
+            out[ci] = states[ci].fabric.horizon(shaper_all[lo[ci] : hi[ci]])
+
+    def advance(
+        self, active: list[int], dt_cores: list[float], out: list[list]
+    ) -> None:
+        """Advance every core by its own dt; write each active core's
+        completed flows into ``out``."""
+        self.dt_buf[:] = dt_cores
+        np.take(self.dt_buf, self.core_of_link, out=self.dt_links)
+        changed_links = self.fleet.advance(self.dt_links, self.egress)
+        changed = (
+            self.unchanged
+            if changed_links is None
+            else np.logical_or.reduceat(
+                changed_links, self.starts, out=self.changed_buf
+            ).tolist()
+        )
+        states = self.states
+        for ci in active:
+            out[ci] = states[ci].fabric._advance_flows(dt_cores[ci], changed[ci])
+
+    def release(self) -> None:
+        """Unhook the staging views, so fabrics that outlive the run
+        (warm-state carry-out) allocate their own egress buffers."""
+        for state in self.states:
+            state.fabric._egress_out = None

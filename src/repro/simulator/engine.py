@@ -327,11 +327,8 @@ class SparkEngine:
         with a single job the policies mostly coincide, but preempt's
         group tracking and fair's share accounting are exercised).
         """
-        self.validate_stream([(0.0, job)], scheduler)
-        if fabric is None:
-            fabric = self.cluster.build_fabric()
-        state = _StreamState(
-            self, [(0.0, job)], fabric, scheduler=scheduler, recorder=recorder
+        state = self.stream_state(
+            [(0.0, job)], fabric=fabric, scheduler=scheduler, recorder=recorder
         )
         return state.execute().job_results[0]
 
@@ -362,21 +359,26 @@ class SparkEngine:
         spans for this run.  Recorders only observe — results are
         bit-identical with and without one.
         """
-        self.validate_stream(arrivals, scheduler)
-        if fabric is None:
-            fabric = self.cluster.build_fabric()
-        state = _StreamState(
-            self, list(arrivals), fabric, scheduler=scheduler, recorder=recorder
+        state = self.stream_state(
+            arrivals, fabric=fabric, scheduler=scheduler, recorder=recorder
         )
         return state.execute()
 
-    @staticmethod
-    def validate_stream(arrivals: Sequence[tuple], scheduler: str) -> None:
-        """Reject malformed streams before any state is built.
+    def stream_state(
+        self,
+        arrivals: Sequence[tuple],
+        fabric: Fabric | None = None,
+        scheduler: str = "fifo",
+        recorder=None,
+    ) -> "_StreamState":
+        """The unrun event core :meth:`run_stream` would execute.
 
-        Shared by :meth:`run_stream` and the batched multistream
-        runner, so both paths fail identically on the same inputs.
+        Rejects a malformed stream before any state is built, and
+        builds a fresh fabric when none is given.  Run the state alone
+        with ``execute()``, or batched with other cores through
+        :func:`~repro.simulator.core.run_cores`.
         """
+        arrivals = list(arrivals)
         if not arrivals:
             raise ValueError("a stream needs at least one job")
         if scheduler not in SCHEDULERS:
@@ -393,6 +395,11 @@ class SparkEngine:
                     raise ValueError(
                         f"deadline {deadline} precedes submission {submit_s}"
                     )
+        if fabric is None:
+            fabric = self.cluster.build_fabric()
+        return _StreamState(
+            self, arrivals, fabric, scheduler=scheduler, recorder=recorder
+        )
 
     def run_repetitions(
         self,
@@ -963,8 +970,8 @@ class _StreamState(EventCore):
     # -- main loop ---------------------------------------------------------------
     #
     # begin / step_prologue / step_epilogue / finish / execute live in
-    # EventCore (repro.simulator.core), shared with the serving layer
-    # and the batched multistream driver.  Only the workload hooks —
+    # EventCore (repro.simulator.core), shared with the serving layer;
+    # run_cores there is the loop.  Only the workload hooks —
     # admission, dispatch, timer/flow completion, result assembly —
     # are implemented here.
 

@@ -266,7 +266,7 @@ class Fabric:
         #: Number of nodes with a non-empty out-list.
         self._n_senders = 0
         #: Optional external buffer for the egress cache (a view into
-        #: the multistream runner's shared staging array); ``None``
+        #: the lockstep staging array of ``run_cores``); ``None``
         #: means refills allocate their own array.
         self._egress_out: np.ndarray | None = None
 
@@ -507,8 +507,9 @@ class Fabric:
     def _egress_raw(self) -> np.ndarray:
         """Per-node aggregate send rates; cached until rates change.
 
-        When ``_egress_out`` is set (the batched multistream runner
-        points it at this cell's slice of the shared staging array),
+        When ``_egress_out`` is set (the lockstep branch of
+        :func:`~repro.simulator.core.run_cores` points it at this
+        cell's slice of the shared staging array),
         refills write into that buffer in place, so the caller's copy
         of the egress vector is maintained for free.
         """
@@ -549,14 +550,14 @@ class Fabric:
         tolerate the resulting sub-epsilon overshoot by contract.
 
         ``shaper_bounds`` of ``None`` asks this fabric's own fleet.  The
-        batched multistream runner instead gathers every cell's shaper
+        lockstep branch of ``run_cores`` instead gathers every cell's shaper
         horizons in one super-fleet call and passes this fabric's slice
         (one horizon per node, from this fleet's state); the combine
         only selects among those float64 values, so either source gives
         the same bound.
 
         Two cached lower bounds let a step skip work without moving the
-        answer.  On the serial path, the fleet's shaper floor (see
+        answer.  Without ``shaper_bounds``, the fleet's shaper floor (see
         :meth:`~repro.netmodel.fleet.LinkModelFleet.horizon_floor`) is
         kept across steps that change no ceiling.  When it lies beyond
         the coalescing ceiling of the earliest flow completion, no
@@ -702,11 +703,11 @@ class Fabric:
     def _advance_flows(self, dt: float, limit_changed: bool) -> list[Flow]:
         """Flow-side half of :meth:`advance`: integrate and complete.
 
-        The batched multistream runner advances all cells' shapers in
-        one concatenated super-fleet call and then calls this per cell
-        with the cell's own ``dt`` and the reduced per-cell
-        limit-changed flag; the serial :meth:`advance` calls it with
-        its own fleet result.  Both paths run the same flow update,
+        The lockstep branch of ``run_cores`` advances all cells'
+        shapers in one concatenated super-fleet call and then calls
+        this per cell with the cell's own ``dt`` and the reduced
+        per-cell limit-changed flag; :meth:`advance` calls it with its
+        own fleet result.  Both run the same flow update,
         compaction, and flow-bound cache maintenance.
         """
         n = self._n

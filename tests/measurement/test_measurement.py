@@ -188,6 +188,18 @@ class TestFingerprinting:
                 TokenBucketModel(PARAMS), probe_interval_s=interval
             )
 
+    @pytest.mark.parametrize("duration", [0.0, -1.0, math.inf, math.nan])
+    def test_max_duration_validation(self, duration):
+        with pytest.raises(ValueError, match="max duration"):
+            identify_token_bucket(
+                TokenBucketModel(PARAMS), max_duration_s=duration
+            )
+
+    @pytest.mark.parametrize("rest_s", [-1.0, math.inf, math.nan])
+    def test_rest_probe_validation(self, rest_s):
+        with pytest.raises(ValueError, match="rest probe"):
+            identify_token_bucket(TokenBucketModel(PARAMS), rest_probe_s=rest_s)
+
     @pytest.mark.parametrize("probe_s", [0.0, -1.0, math.nan])
     def test_base_probe_validation(self, probe_s):
         provider = Ec2Provider()

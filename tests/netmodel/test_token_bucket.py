@@ -132,6 +132,16 @@ class TestModel:
         with pytest.raises(ValueError):
             model.advance(-1.0, 1.0)
 
+    @pytest.mark.parametrize("rate", [-1.0, math.nan])
+    def test_negative_or_nan_send_rate_rejected(self, rate):
+        # NaN would pass ``< 0`` and leave the budget NaN while the
+        # bucket still reports its peak limit.
+        model = TokenBucketModel(c5_xlarge_params())
+        with pytest.raises(ValueError, match="send rate"):
+            model.advance(1.0, rate)
+        assert model.budget_gbit == 5_400.0
+        assert model.limit() == 10.0
+
     def test_integration_full_speed_hour(self):
         # One hour at full speed: 600 s at 10 Gbps + 3000 s at 1 Gbps.
         model = TokenBucketModel(c5_xlarge_params())

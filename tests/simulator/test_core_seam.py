@@ -6,7 +6,7 @@ itself — the hook protocol both workloads implement, the timer heap's
 ordering contract, and the begin / prologue / epilogue / finish
 decomposition: driving a state through the public helpers step by step
 must reproduce ``execute()`` bit for bit, because that is exactly what
-the batched multistream driver does.  (The golden-trace and scheduler
+``run_cores`` does for every core.  (The golden-trace and scheduler
 suites pin the *values* against pre-refactor fixtures, as does the
 bench ``--check`` gate.)
 """
@@ -222,7 +222,11 @@ class TestSeamEquivalence:
 
 
 class TestStepBudget:
-    """Both drivers raise ``EventCore.step_budget_error`` at max_steps."""
+    """``execute`` and ``run_cores`` share one step-budget rule.
+
+    A core that finishes on its last budgeted step completes; one still
+    running after ``max_steps`` raises ``EventCore.step_budget_error``.
+    """
 
     _MESSAGE = (
         r"step budget exhausted at t=\S+ after 3 steps: \d+ live flows, "
@@ -242,6 +246,46 @@ class TestStepBudget:
         with pytest.raises(RuntimeError, match=self._MESSAGE) as info:
             run_cores(states)
         assert str(info.value) == str(states[1].step_budget_error())
+
+    @staticmethod
+    def constant_rate_streams(n_cores, budget):
+        """``n_cores`` 2-job constant-rate streams; the last one budgeted."""
+        states = [
+            stream_state(
+                seed=seed,
+                n_jobs=2,
+                link_model_factory=lambda node: ConstantRateModel(10.0),
+            )
+            for seed in (401, 20260727)[-n_cores:]
+        ]
+        if budget is not None:
+            states[-1].max_steps = budget
+        return states
+
+    @staticmethod
+    def run(states):
+        """``execute`` for one core, ``run_cores`` for more; the last result."""
+        if len(states) == 1:
+            return states[0].execute()
+        return run_cores(states)[-1]
+
+    def steps_needed(self):
+        return self.run(self.constant_rate_streams(1, None)).n_steps
+
+    @pytest.mark.parametrize("n_cores", [1, 2])
+    def test_budget_equal_to_steps_needed_completes(self, n_cores):
+        needed = self.steps_needed()
+        result = self.run(self.constant_rate_streams(n_cores, needed))
+        assert result.n_steps == needed
+
+    @pytest.mark.parametrize("n_cores", [1, 2])
+    def test_one_step_short_raises_step_budget_error(self, n_cores):
+        needed = self.steps_needed()
+        states = self.constant_rate_streams(n_cores, needed - 1)
+        with pytest.raises(RuntimeError, match="step budget exhausted") as info:
+            self.run(states)
+        assert str(info.value) == str(states[-1].step_budget_error())
+        assert states[-1]._n_steps == needed - 1
 
 
 class ZeroLimitModel(LinkModel):

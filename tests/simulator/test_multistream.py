@@ -1,7 +1,7 @@
-"""Equivalence contract for the batched multi-stream runner.
+"""Equivalence contract for batched stream cells.
 
-``repro.simulator.multistream.run_streams`` must reproduce N serial
-``run_stream`` calls *bit for bit* — same job runtimes, same stage
+``repro.simulator.core.run_cores`` over N stream states must reproduce
+N serial ``run_stream`` calls *bit for bit* — same job runtimes, same stage
 windows, same telemetry floats, same step counts — for every
 scheduler, every fleet class, and mixed-completion batches where cells
 finish at very different times.  These tests pin that contract, plus
@@ -37,7 +37,7 @@ from repro.netmodel.percore import PerCoreQosModel
 from repro.netmodel.stochastic import UniformQuantileSamplingModel
 from repro.scenarios.generate import job_stream, poisson_arrivals
 from repro.simulator import Cluster, NodeSpec, SparkEngine
-from repro.simulator.multistream import StreamTask, run_streams
+from repro.simulator.core import run_cores
 
 _BUCKET = TokenBucketParams(
     peak_gbps=10.0,
@@ -89,7 +89,17 @@ def _snapshot(result):
     }
 
 
-class TestRunStreamsEquivalence:
+def _batched(cells):
+    """Run ``(engine, stream, scheduler)`` cells in one ``run_cores`` call."""
+    return run_cores(
+        [
+            engine.stream_state(stream, scheduler=scheduler)
+            for engine, stream, scheduler in cells
+        ]
+    )
+
+
+class TestRunCoresEquivalence:
     @pytest.mark.parametrize(
         "scheduler", ["fifo", "fair", "srpt", "edf", "preempt"]
     )
@@ -106,8 +116,8 @@ class TestRunStreamsEquivalence:
         tasks = []
         for seed in seeds:
             engine, stream = _make_cell(seed, scheduler)
-            tasks.append(StreamTask(engine, stream, scheduler=scheduler))
-        batched = [_snapshot(r) for r in run_streams(tasks)]
+            tasks.append((engine, stream, scheduler))
+        batched = [_snapshot(r) for r in _batched(tasks)]
         assert batched == serial
 
     def test_mixed_schedulers_in_one_batch(self):
@@ -119,8 +129,8 @@ class TestRunStreamsEquivalence:
         tasks = []
         for i, sched in enumerate(schedulers):
             engine, stream = _make_cell(500 + i, sched)
-            tasks.append(StreamTask(engine, stream, scheduler=sched))
-        assert [_snapshot(r) for r in run_streams(tasks)] == serial
+            tasks.append((engine, stream, sched))
+        assert [_snapshot(r) for r in _batched(tasks)] == serial
 
     def test_uneven_cell_lifetimes(self):
         # One tiny 1-job cell drains long before a 6-job cell: the
@@ -134,8 +144,8 @@ class TestRunStreamsEquivalence:
         tasks = []
         for n_jobs, seed in specs:
             engine, stream = _make_cell(seed, "fair", n_jobs=n_jobs)
-            tasks.append(StreamTask(engine, stream, scheduler="fair"))
-        assert [_snapshot(r) for r in run_streams(tasks)] == serial
+            tasks.append((engine, stream, "fair"))
+        assert [_snapshot(r) for r in _batched(tasks)] == serial
 
     def test_heterogeneous_node_counts(self):
         serial = []
@@ -145,8 +155,8 @@ class TestRunStreamsEquivalence:
         tasks = []
         for n_nodes, seed in [(3, 71), (6, 72), (4, 73)]:
             engine, stream = _make_cell(seed, "fifo", n_nodes=n_nodes)
-            tasks.append(StreamTask(engine, stream, scheduler="fifo"))
-        assert [_snapshot(r) for r in run_streams(tasks)] == serial
+            tasks.append((engine, stream, "fifo"))
+        assert [_snapshot(r) for r in _batched(tasks)] == serial
 
     def test_percore_fleet_cells(self):
         factory = lambda node: PerCoreQosModel(cores=4, seed=9000 + node)
@@ -157,33 +167,46 @@ class TestRunStreamsEquivalence:
         tasks = []
         for seed in (31, 32):
             engine, stream = _make_cell(seed, "fair", model_factory=factory)
-            tasks.append(StreamTask(engine, stream, scheduler="fair"))
-        assert [_snapshot(r) for r in run_streams(tasks)] == serial
+            tasks.append((engine, stream, "fair"))
+        assert [_snapshot(r) for r in _batched(tasks)] == serial
 
     def test_mixed_fleet_classes_rejected(self):
-        t1 = StreamTask(*_make_cell(1, "fifo"))
-        t2 = StreamTask(
-            *_make_cell(2, "fifo", model_factory=lambda n: ConstantRateModel(8.0))
+        t1 = (*_make_cell(1, "fifo"), "fifo")
+        t2 = (
+            *_make_cell(2, "fifo", model_factory=lambda n: ConstantRateModel(8.0)),
+            "fifo",
         )
         with pytest.raises(ValueError, match="one class"):
-            run_streams([t1, t2])
+            _batched([t1, t2])
+
+    def test_recorders_rejected(self):
+        from repro.obs import ObsRecorder
+
+        states = []
+        for seed in (1, 2):
+            engine, stream = _make_cell(seed, "fifo")
+            states.append(
+                engine.stream_state(stream, recorder=ObsRecorder())
+            )
+        with pytest.raises(ValueError, match="recorders"):
+            run_cores(states)
 
     def test_empty_batch(self):
-        assert run_streams([]) == []
+        assert run_cores([]) == []
 
     def test_single_cell_batch(self):
         engine, stream = _make_cell(55, "fair")
         serial = _snapshot(engine.run_stream(stream, scheduler="fair"))
         engine, stream = _make_cell(55, "fair")
-        [result] = run_streams([StreamTask(engine, stream, scheduler="fair")])
+        [result] = _batched([(engine, stream, "fair")])
         assert _snapshot(result) == serial
 
     def test_validation_matches_run_stream(self):
         engine, stream = _make_cell(1, "fifo")
         with pytest.raises(ValueError, match="unknown scheduler"):
-            run_streams([StreamTask(engine, stream, scheduler="nope")])
+            engine.stream_state(stream, scheduler="nope")
         with pytest.raises(ValueError, match="at least one job"):
-            run_streams([StreamTask(engine, [])])
+            engine.stream_state([])
 
 
 _QOS_DIST = QuantileDistribution(probs=(0.01, 0.5, 0.99), values=(4.0, 8.0, 10.0))
