@@ -20,7 +20,7 @@ Two entry points are shown:
 2. the campaign form — ``ScenarioCampaign(configs)`` runs a whole
    cached scenario matrix through the same machinery by default
    (chained cells run one at a time), checked here against
-   ``SerialExecutor``.
+   ``BatchExecutor(1)``, the one-at-a-time reference.
 
 Run with:  python examples/multistream_campaign.py
 """
@@ -31,7 +31,7 @@ import numpy as np
 
 from repro.bench.hotpath import _MS_BUCKET
 from repro.netmodel import TokenBucketModel
-from repro.runtime import SerialExecutor
+from repro.runtime import BatchExecutor
 from repro.scenarios.generate import job_stream, poisson_arrivals
 from repro.scenarios.orchestrate import ScenarioCampaign, ScenarioConfig
 from repro.simulator import Cluster, NodeSpec, SparkEngine
@@ -99,7 +99,7 @@ def campaign_form() -> None:
         )
         for i in range(N_CELLS)
     ]
-    serial = ScenarioCampaign(configs, executor=SerialExecutor()).run().results
+    serial = ScenarioCampaign(configs, executor=BatchExecutor(1)).run().results
     batched = ScenarioCampaign(configs).run().results
     assert serial.keys() == batched.keys()
     for key, a in serial.items():

@@ -38,7 +38,7 @@ Uta et al., packaged as a reusable library:
   suite: content-hashed :class:`~repro.runtime.cell.Cell` units
   (optionally chained via ``after``), a crash-safe content-addressed
   :class:`~repro.runtime.store.ArtifactStore` with an integrity audit
-  (``repro store verify``), pluggable serial / process-pool /
+  (``repro store verify``), pluggable in-process / process-pool /
   multi-machine shard executors (``python -m repro worker`` +
   ``merge``; chains stay whole on one shard and resume mid-chain from
   their store), and a fault-tolerant supervisor (``repro campaign
@@ -91,9 +91,11 @@ golden trace and ``repro bench --check``:
    and one ``horizons`` / ``advance`` call pair per lockstep round,
    ``advance`` taking one ``dt`` per link — the SoA trick applied
    across cells — which amortizes per-cell numpy dispatch over
-   campaign matrices.  The campaign runtime's default single-process
-   batch executor sends runs of independent cells through it; a
-   core's result is byte-identical however many cores share its call.
+   campaign matrices.  The campaign runtime has one cell loop,
+   :class:`~repro.runtime.executors.BatchExecutor`, which sends runs of
+   independent cells through it; pool children and the one-at-a-time
+   reference run the same loop at ``batch_size=1``.  A core's result
+   is byte-identical however many cores share its call.
 
 **Cold start.**  Repetition at scale means many fresh processes: CLI
 calls, perfbench set-ups, and every shard worker a campaign launches

@@ -162,6 +162,13 @@ def _cmd_list(_: argparse.Namespace) -> int:
 def _cmd_figure(args: argparse.Namespace) -> int:
     import importlib
 
+    from repro.runtime.executors import executor_for
+
+    try:
+        executor_for(args.workers)  # a bad --workers fails before any cell
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     name = args.artifact
     module = importlib.import_module(f"repro.paper.{name}")
     _, fast_kwargs, full_kwargs = _FIGURES[name]
@@ -474,7 +481,7 @@ def _cmd_worker(args: argparse.Namespace) -> int:
         ExecutionAborted,
         run_manifest,
     )
-    from repro.runtime.coordinator import (
+    from repro.runtime.lease import (
         LeaseHeartbeat,
         LeaseLostError,
         acquire_lease,

@@ -13,7 +13,7 @@ from repro.netmodel.stochastic import UniformQuantileSamplingModel
 from repro.netmodel.token_bucket import TokenBucketModel, TokenBucketParams
 from repro.runtime.campaign import CampaignRunner
 from repro.runtime.cell import Cell
-from repro.runtime.executors import BatchExecutor, ProcessPoolExecutor
+from repro.runtime.executors import executor_for
 from repro.simulator.cluster import Cluster
 
 __all__ = [
@@ -37,10 +37,11 @@ def run_replay_cells(
     every cell seeds its own generator from the payload, ``workers``
     changes only the wall clock, never the numbers — the same contract
     ``--seed`` gives the CLI everywhere else.  Payloads must be
-    distinct (they are content-hashed into cell keys).
+    distinct (they are content-hashed into cell keys).  ``workers < 1``
+    raises :class:`ValueError`.
     """
+    executor = executor_for(workers)
     cells = [Cell(fn=fn_ref, payload=payload) for payload in payloads]
-    executor = BatchExecutor() if workers <= 1 else ProcessPoolExecutor(workers)
     outcome = CampaignRunner(cells, executor=executor).run()
     return [outcome.results[cell.key] for cell in cells]
 

@@ -15,23 +15,28 @@ scenario sweeps (:mod:`repro.scenarios`), serving sweeps
   directory store of JSON documents with atomic, crash-safe manifest
   writes (documents land before the manifest entry, every file is
   temp-written, fsynced, and renamed into place);
-* executors (:mod:`repro.runtime.executors`) —
-  :class:`~repro.runtime.executors.SerialExecutor`,
-  :class:`~repro.runtime.executors.BatchExecutor` (the in-process
-  default, lockstep batches of independent cells),
-  :class:`~repro.runtime.executors.ProcessPoolExecutor` (chunked), and
-  :class:`~repro.runtime.executors.ShardExecutor`, which partitions a
-  matrix into per-machine shard manifests executed by
+* executors (:mod:`repro.runtime.executors`) — one loop runs cells
+  everywhere: :class:`~repro.runtime.executors.BatchExecutor` (the
+  in-process default, lockstep batches of independent cells;
+  ``BatchExecutor(1)`` is the one-at-a-time reference).
+  :class:`~repro.runtime.executors.ProcessPoolExecutor` (chunked)
+  runs it one cell at a time in each child, and
+  :class:`~repro.runtime.executors.ShardExecutor` partitions a matrix
+  into per-machine shard manifests executed by
   ``python -m repro worker`` and merged back deterministically with
   ``python -m repro merge``.
+  :func:`~repro.runtime.executors.executor_for` is the one place a
+  worker count picks in-process or pool.
 
 Because cells are pure and content-keyed, executor choice never
-changes results: serial, pooled, and sharded runs of the same matrix
-produce byte-identical stores (checkable via
+changes results: one-at-a-time, batched, pooled, and sharded runs of
+the same matrix produce byte-identical stores (checkable via
 :meth:`~repro.runtime.store.ArtifactStore.content_hash`).
 :class:`~repro.runtime.campaign.CampaignRunner` is the shared
 orchestration loop: snapshot the manifest, decode cached cells, run
-pending ones, persist each result as it arrives.  The scenario and
+pending ones, persist each result as it arrives through the same
+:func:`~repro.runtime.worker.persist_result` a shard worker uses.
+The scenario and
 serving sweeps drive it through one config-level front end,
 :class:`~repro.runtime.campaign.Campaign`.
 
@@ -109,28 +114,26 @@ _EXPORTS = {
     "repro.runtime.cell": (
         "Cell",
         "cell_key",
-        "execute_cell",
-        "execute_cell_graph",
         "order_cells",
         "resolve_ref",
     ),
-    "repro.runtime.coordinator": (
+    "repro.runtime.coordinator": ("run_campaign",),
+    "repro.runtime.executors": (
+        "BatchExecutor",
+        "ExecutionAborted",
+        "ProcessPoolExecutor",
+        "ShardExecutor",
+        "cell_components",
+        "executor_for",
+        "partition_cells",
+    ),
+    "repro.runtime.lease": (
         "LeaseHeartbeat",
         "LeaseLostError",
         "acquire_lease",
         "lease_path_for",
         "release_lease",
         "renew_lease",
-        "run_campaign",
-    ),
-    "repro.runtime.executors": (
-        "BatchExecutor",
-        "ExecutionAborted",
-        "ProcessPoolExecutor",
-        "SerialExecutor",
-        "ShardExecutor",
-        "cell_components",
-        "partition_cells",
     ),
     "repro.runtime.remote": (
         "FaultyTransport",
@@ -186,7 +189,6 @@ __all__ = [
     "ProcessPoolExecutor",
     "RemoteStore",
     "RetryPolicy",
-    "SerialExecutor",
     "ShardExecutor",
     "StoreCorruptionError",
     "StoreRepairReport",
@@ -201,8 +203,7 @@ __all__ = [
     "atomic_write_text",
     "cell_components",
     "cell_key",
-    "execute_cell",
-    "execute_cell_graph",
+    "executor_for",
     "lease_path_for",
     "merge_stores",
     "open_transport",

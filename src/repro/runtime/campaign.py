@@ -31,11 +31,10 @@ from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Any, Callable, Mapping, Sequence
 
-from repro.obs.provenance import PROVENANCE_KEY
 from repro.runtime.cell import Cell, resolve_ref
-from repro.runtime.executors import BatchExecutor, ProcessPoolExecutor
+from repro.runtime.executors import BatchExecutor, executor_for
 from repro.runtime.store import ArtifactStore
-from repro.runtime.worker import write_shard_manifests
+from repro.runtime.worker import persist_result, write_shard_manifests
 
 __all__ = [
     "ArtifactCodec",
@@ -155,8 +154,14 @@ class CampaignRunner:
         provenance: dict[str, dict] = {}
 
         def emit(cell: Cell, result: Any, already_stored: bool) -> None:
-            if not already_stored:
-                self._persist(cell, result, provenance.get(cell.key))
+            if not already_stored and self.store is not None:
+                persist_result(
+                    self.store,
+                    cell.key,
+                    self.codec.encode,
+                    result,
+                    provenance.get(cell.key),
+                )
             computed[cell.key] = result
 
         if pending:
@@ -179,43 +184,16 @@ class CampaignRunner:
             computed_ids=tuple(sorted(computed)),
         )
 
-    def _persist(
-        self, cell: Cell, result: Any, provenance: dict | None = None
-    ) -> None:
-        """Store one result; an already-stored key is a no-op.
-
-        The duplicate case arises when another writer (an interrupted
-        earlier sweep, a concurrent shard) stored the cell after this
-        run's up-front manifest snapshot.  Any other ValueError is a
-        genuine persistence failure and propagates — swallowing it
-        would silently turn every future run into a cache miss.
-
-        Execution provenance rides in the manifest *meta* (never the
-        documents), so the store's content hash — and the serial ==
-        pool == shard byte-equivalence contract built on it — ignores
-        where and how long the cell ran.
-        """
-        if self.store is None:
-            return
-        documents, meta = self.codec.encode(result)
-        if provenance is not None:
-            meta = dict(meta)
-            meta[PROVENANCE_KEY] = provenance
-        try:
-            self.store.put(cell.key, documents, meta=meta)
-        except ValueError:
-            if cell.key not in self.store:
-                raise
-
 
 class Campaign:
     """Runs a config matrix, caching cells in a trace repository.
 
     A thin front end over :class:`CampaignRunner`: cells store as they
     complete, so an interrupted sweep keeps its finished work.
-    ``executor`` overrides the strategy derived from ``workers``
-    (the batching single-process executor for 1, a chunked process
-    pool otherwise); use
+    ``executor`` overrides the strategy
+    :func:`~repro.runtime.executors.executor_for` derives from
+    ``workers`` (the batching single-process executor for 1, a chunked
+    process pool otherwise); use
     :meth:`shard_manifests` with the ``repro worker`` / ``repro merge``
     CLI for multi-machine runs.  Subclasses set :attr:`codec` and
     :attr:`make_cells`.
@@ -229,19 +207,14 @@ class Campaign:
     def __init__(
         self, configs: Sequence, repository=None, workers: int = 1, executor=None
     ) -> None:
-        if workers < 1:
-            raise ValueError("workers must be >= 1")
-        if executor is None:
-            executor = (
-                BatchExecutor() if workers == 1 else ProcessPoolExecutor(workers)
-            )
+        derived = executor_for(workers)  # refuses workers < 1 either way
         self.configs = list(configs)
         self.cells = self.make_cells(self.configs)
         self.runner = CampaignRunner(
             self.cells,
             store=repository.artifacts if repository else None,
             codec=self.codec,
-            executor=executor,
+            executor=executor if executor is not None else derived,
         )
 
     def shard_manifests(self, directory: str | Path, n_shards: int) -> list[Path]:

@@ -36,7 +36,6 @@ from __future__ import annotations
 import hashlib
 import importlib
 import json
-import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
 
@@ -47,8 +46,6 @@ __all__ = [
     "cell_key",
     "content_id",
     "resolve_ref",
-    "execute_cell",
-    "execute_cell_graph",
     "order_cells",
 ]
 
@@ -184,59 +181,3 @@ def order_cells(cells: Sequence["Cell"]) -> list["Cell"]:
             raise ValueError(f"cell dependency cycle among {cycle}")
         pending = rest
     return ordered
-
-
-def execute_cell(cell: Cell) -> tuple[str, Any]:
-    """Module-level pool target: run one cell, return ``(key, result)``.
-
-    Lives at module scope so :mod:`multiprocessing` can pickle it by
-    reference; the result itself must be picklable for pooled
-    executors (numpy arrays and plain dataclasses are).
-    """
-    return cell.key, cell.run()
-
-
-def execute_cell_graph(
-    args: tuple[list[Cell], dict[str, Any]],
-) -> list[tuple[str, Any, dict]]:
-    """Module-level pool target: run one dependency-ordered cell group.
-
-    ``args`` is ``(cells, upstream)`` where ``cells`` are already in
-    dependency order (see :func:`order_cells`) and ``upstream`` maps
-    predecessor keys *outside* the group (cached cells the coordinator
-    decoded) to their results.  Results computed inside the group feed
-    later group members directly, which is what keeps a whole chain in
-    one process/pool task.
-
-    Each returned triple carries the cell's execution provenance
-    (wall seconds, peak RSS, step count — see
-    :func:`repro.obs.provenance.cell_provenance`), measured in the
-    process that actually ran the cell.
-    """
-    from repro.obs.provenance import cell_provenance
-    from repro.runtime import chaos
-
-    cells, upstream = args
-    results: dict[str, Any] = dict(upstream)
-    out: list[tuple[str, Any, dict]] = []
-    for cell in cells:
-        # Pool children re-arm fault injection from the environment so
-        # a chaos-configured worker misbehaves identically whether its
-        # cells run in-process or in a spawned pool process.
-        monkey = chaos.active_injector()
-        if monkey is not None:
-            monkey.before_cell(cell.key)
-        t0 = time.perf_counter()
-        if cell.after is not None:
-            if cell.after not in results:
-                raise KeyError(
-                    f"cell {cell.key!r} needs predecessor {cell.after!r}, "
-                    "which is neither in its group nor supplied upstream"
-                )
-            result = cell.run(results[cell.after])
-        else:
-            result = cell.run()
-        prov = cell_provenance(time.perf_counter() - t0, result)
-        results[cell.key] = result
-        out.append((cell.key, result, prov))
-    return out

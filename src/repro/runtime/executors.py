@@ -1,33 +1,39 @@
 """Pluggable executors: how a set of cells turns into results.
 
-Four strategies cover the campaign scales the paper argues for:
+One loop runs every cell, everywhere: :meth:`BatchExecutor.run` walks
+the cells in dependency order, groups them into batches and hands each
+batch to :func:`_run_batch`.  ``BatchExecutor(1)`` (every batch one
+cell) is the one-at-a-time reference every other strategy must match
+bit-for-bit.  Around that loop:
 
-* :class:`SerialExecutor` — one cell at a time, in submission order;
-  the reference semantics everything else must match bit-for-bit.
-* :class:`BatchExecutor` — the single-process default: the serial
-  loop, but runs of independent cells whose function declares a
-  batched form advance together in lockstep
-  (:mod:`repro.simulator.multistream`), bit-identically.
+* :class:`BatchExecutor` — the single-process default: runs of
+  independent cells whose function declares a batched form advance
+  together in lockstep (:mod:`repro.simulator.multistream`),
+  bit-identically to the reference.
 * :class:`ProcessPoolExecutor` — a chunked :mod:`multiprocessing`
   pool (``min(workers, n)`` processes, ~4 chunks per worker so large
-  matrices stop paying one IPC round-trip per cell); at one worker it
-  is the :class:`BatchExecutor`.
-  Results are emitted as they arrive so the caller can persist them
-  incrementally — a killed sweep keeps its finished cells.
+  matrices stop paying one IPC round-trip per cell).  Each pool task
+  is one chain component, which the child runs through
+  ``BatchExecutor(1)``.  Results are emitted as they arrive so the
+  caller can persist them incrementally — a killed sweep keeps its
+  finished cells.
 * :class:`ShardExecutor` — campaign-level sharding across *machines*:
   the cell set is partitioned deterministically into per-shard JSON
   manifests, each executed by ``python -m repro worker <manifest>``
   (in-process by default, or as a real subprocess), and the per-shard
   artifact stores are merged back into the campaign store.  Because
   cells are pure and content-keyed, the merged store is byte-identical
-  to what a serial run would have produced.
+  to what the reference would have produced.
+
+:func:`executor_for` is the one place a worker count picks between
+in-process and pool, and it refuses fewer than one worker.
 
 Every executor funnels results through the same ``emit(cell, result,
 stored)`` callback; ``stored=True`` tells the caller the artifact
 already reached the store through a worker, so it must not be written
 twice.  Callers that want execution provenance (per-cell wall time,
 peak RSS, step count) pass ``on_provenance(key, record)``, invoked
-just before the cell's ``emit`` — the serial and pooled executors
+just before the cell's ``emit`` — the in-process and pooled executors
 measure it where the cell actually ran; the shard executor leaves it
 to the workers, which persist provenance into their shard stores.
 
@@ -35,8 +41,8 @@ Warm-fabric chains (cells whose ``after`` names a predecessor) add one
 constraint every strategy honors identically: a chain executes in
 dependency order with each successor fed its predecessor's result, and
 a whole chain stays in one process / pool task / shard
-(:func:`cell_components` groups them), so serial, pooled, and sharded
-runs of a chained matrix remain byte-identical.
+(:func:`cell_components` groups them), so in-process, pooled, and
+sharded runs of a chained matrix remain byte-identical.
 """
 
 from __future__ import annotations
@@ -50,16 +56,16 @@ from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
 from repro.obs.provenance import cell_provenance
-from repro.runtime.cell import Cell, execute_cell_graph, order_cells, resolve_ref
+from repro.runtime.cell import Cell, order_cells, resolve_ref
 from repro.runtime.store import ArtifactStore
 
 __all__ = [
     "ExecutionAborted",
-    "SerialExecutor",
     "BatchExecutor",
     "ProcessPoolExecutor",
     "ShardExecutor",
     "cell_components",
+    "executor_for",
     "partition_cells",
 ]
 
@@ -70,7 +76,7 @@ EmitFn = Callable[[Cell, object, bool], None]
 class ExecutionAborted(RuntimeError):
     """An executor stopped early because ``should_stop`` returned True.
 
-    Raised by the serial and pooled executors between cells when the
+    Raised by the in-process and pooled executors between cells when the
     caller's stop predicate fires — a worker whose lease was stolen
     must abandon the shard rather than keep writing to a store another
     worker now owns.  Cells emitted before the abort are already
@@ -135,20 +141,17 @@ def _component_tasks(
 ) -> list[tuple[list[Cell], dict[str, object]]]:
     """Pair each chain component with the upstream results it needs."""
     keys = {cell.key for cell in cells}
-    tasks = []
-    for component in cell_components(cells):
-        need: dict[str, object] = {}
-        for cell in component:
-            if cell.after is not None and cell.after not in keys:
-                if cell.after not in upstream:
-                    raise ValueError(
-                        f"cell {cell.key!r} needs predecessor "
-                        f"{cell.after!r}, which is neither pending nor "
-                        "available as a cached upstream result"
-                    )
-                need[cell.after] = upstream[cell.after]
-        tasks.append((component, need))
-    return tasks
+    return [
+        (
+            component,
+            {
+                cell.after: _upstream_of(cell, upstream)
+                for cell in component
+                if cell.after is not None and cell.after not in keys
+            },
+        )
+        for component in cell_components(cells)
+    ]
 
 
 def _upstream_of(cell: Cell, results: Mapping[str, object]) -> object:
@@ -203,8 +206,8 @@ def _run_batch(
 
     A batch that raises is rerun one cell at a time, so the cells
     before the failing one land and the error raised is the failing
-    cell's own — exactly what a serial run leaves behind.  When every
-    cell then succeeds alone, the serial results stand and a
+    cell's own — exactly what a one-at-a-time run leaves behind.  When
+    every cell then succeeds alone, those results stand and a
     :class:`RuntimeWarning` reports that the batched form diverged.
     An injected chaos fault lands the cells before it one at a time,
     then re-raises.  A batch's per-cell provenance is its wall clock
@@ -268,21 +271,53 @@ def _run_batch(
         emit(cell, result, False)
 
 
-class SerialExecutor:
-    """Run cells one at a time in the current process.
+class BatchExecutor:
+    """Run cells in the current process; :func:`executor_for`'s one-worker pick.
 
-    The reference engine: cells execute strictly in dependency order,
-    so this executor supports the runtime's two between-cell control
-    hooks exactly: ``should_stop()`` is consulted before every cell
-    (abandon the rest of the shard — lease lost), and ``skip(cell)``
-    revokes a cell just before it would run (the coordinator stole its
-    chain).  A skipped cell's chained successors are skipped
-    transitively — a chain is revoked whole — and each lands one
-    ``on_skip(cell)`` callback so the caller can account for it.
+    This is the loop every cell runs through.
+    :class:`~repro.runtime.campaign.CampaignRunner`,
+    :class:`~repro.runtime.campaign.Campaign` at ``workers=1``,
+    :func:`~repro.runtime.worker.run_manifest` at one worker (so
+    ``repro worker`` and ``repro scenario --store``) and every
+    :class:`ProcessPoolExecutor` child run it.  ``batch_size=1`` makes
+    every batch one cell: that is the one-at-a-time reference.
 
-    :class:`BatchExecutor` runs the same loop over multi-cell batches;
-    here every batch is a single cell.
+    A cell function may declare a *batched form* as its ``batched``
+    attribute: ``fn.batched(payloads, upstreams)`` returns one result
+    per payload, bit-identical to ``fn(payload[, upstream])`` for each
+    (``run_scenario_payload.batched`` and ``run_serving_payload.batched``
+    advance their cells together through
+    :mod:`repro.simulator.multistream`).  Walking the cells in
+    dependency order, this executor gathers runs of consecutive
+    independent cells that share a batched form into batches of up to
+    ``batch_size`` and hands each to that form.  Warm-fabric chains
+    (a successor needs its predecessor's *final* fabric), cells whose
+    function has no batched form (the figure replay cells) and
+    one-cell batches run one at a time.
+
+    Because batches follow submission order, the cells stored when a
+    cell fails are exactly those a one-at-a-time run would have
+    stored: a batch that raises is rerun one cell at a time (see
+    :func:`_run_batch`).  Two between-batch control hooks are
+    consulted right before each batch runs: ``should_stop()`` abandons
+    the rest of the shard (lease lost) by raising
+    :class:`ExecutionAborted`, and ``skip(cell)`` revokes a cell (the
+    coordinator stole its chain).  A skipped cell's chained successors
+    are skipped transitively — a chain is revoked whole — and each
+    lands one ``on_skip(cell)`` callback so the caller can account for
+    it.  Chaos injection fires per cell before its batch, so a crash
+    loses at most one batch.  A crash is not a raise, though: a
+    process killed mid-batch dies with every cell of the batch
+    running.  ``in_flight(keys)`` hears each lockstep batch's keys
+    before it starts and ``in_flight(())`` after, so
+    :func:`~repro.runtime.worker.run_manifest` can record them and its
+    next run can go one cell at a time to find the culprit.
     """
+
+    def __init__(self, batch_size: int = 32) -> None:
+        if batch_size < 1:
+            raise ValueError("batch_size must be >= 1")
+        self.batch_size = batch_size
 
     def run(
         self,
@@ -317,51 +352,6 @@ class SerialExecutor:
 
     def _batches(self, ordered: Sequence[Cell]):
         """``(cells, batched form or None)`` groups, in run order."""
-        for cell in ordered:
-            yield [cell], None
-
-
-class BatchExecutor(SerialExecutor):
-    """Run independent cells in lockstep batches; the single-process default.
-
-    :class:`~repro.runtime.campaign.CampaignRunner`,
-    :class:`~repro.runtime.campaign.Campaign` at ``workers=1`` and
-    :class:`ProcessPoolExecutor` at ``workers=1`` (so ``run_manifest``,
-    ``repro worker`` and ``repro scenario --store``) all run this.
-
-    A cell function may declare a *batched form* as its ``batched``
-    attribute: ``fn.batched(payloads, upstreams)`` returns one result
-    per payload, bit-identical to ``fn(payload[, upstream])`` for each
-    (``run_scenario_payload.batched`` and ``run_serving_payload.batched``
-    advance their cells together through
-    :mod:`repro.simulator.multistream`).  Walking the cells in
-    dependency order, this executor gathers runs of consecutive
-    independent cells that share a batched form into batches of up to
-    ``batch_size`` and hands each to that form.  Warm-fabric chains
-    (a successor needs its predecessor's *final* fabric), cells whose
-    function has no batched form (the figure replay cells) and
-    one-cell batches run one at a time, exactly as under
-    :class:`SerialExecutor`, whose loop this is.
-
-    Because batches follow submission order, the cells stored when a
-    cell fails are exactly those a serial run would have stored: a
-    batch that raises is rerun one cell at a time (see
-    :func:`_run_batch`).  ``should_stop`` and ``skip`` are consulted
-    right before each batch runs, and chaos injection fires per cell
-    before its batch; a crash therefore loses at most one batch.  A
-    crash is not a raise, though: a process killed mid-batch dies with
-    every cell of the batch running.  ``in_flight(keys)`` hears each
-    batch's keys before it starts and ``in_flight(())`` after, so
-    :func:`~repro.runtime.worker.run_manifest` can record them and its
-    next run can go one cell at a time to find the culprit.
-    """
-
-    def __init__(self, batch_size: int = 32) -> None:
-        if batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        self.batch_size = batch_size
-
-    def _batches(self, ordered: Sequence[Cell]):
         chained = {
             cell.key
             for component in cell_components(ordered)
@@ -403,12 +393,44 @@ def _batched_form(fn_ref: str) -> Callable | None:
     return getattr(fn, "batched", None)
 
 
+def _run_component(
+    task: tuple[list[Cell], dict[str, object]],
+) -> list[tuple[str, object, dict]]:
+    """Pool target: run one :func:`_component_tasks` task one cell at a time.
+
+    Returns ``(key, result, provenance)`` triples, the provenance
+    measured in this child, where chaos also re-arms from the env.
+    """
+    cells, upstream = task
+    provenance: dict[str, dict] = {}
+    done: list[tuple[str, object, dict]] = []
+
+    def emit(cell: Cell, result: object, _: bool) -> None:
+        done.append((cell.key, result, provenance[cell.key]))
+
+    BatchExecutor(1).run(
+        cells, emit, upstream=upstream, on_provenance=provenance.__setitem__
+    )
+    return done
+
+
+def executor_for(workers: int) -> "BatchExecutor | ProcessPoolExecutor":
+    """``BatchExecutor()`` for one worker, else a pool of ``workers``.
+
+    The one place a worker count chooses between in-process and pooled
+    execution; ``workers < 1`` raises :class:`ValueError`.
+    """
+    return BatchExecutor() if workers == 1 else ProcessPoolExecutor(workers)
+
+
 class ProcessPoolExecutor:
     """Chunked multiprocessing pool, results emitted as they arrive.
 
     The pool's unit of work is a chain component, so a warm-fabric
     chain runs start-to-finish inside one worker process while
     independent cells (and independent chains) still parallelize.
+    Children run it through ``BatchExecutor(1)``; a lone cell runs so
+    in this process.
     """
 
     def __init__(self, workers: int) -> None:
@@ -428,8 +450,8 @@ class ProcessPoolExecutor:
         in_flight: Callable[[Sequence[str]], None] | None = None,
         **_: object,
     ) -> None:
-        if self.workers == 1 or len(cells) <= 1:
-            BatchExecutor().run(
+        if len(cells) <= 1:
+            BatchExecutor(1).run(
                 cells,
                 emit,
                 upstream=upstream,
@@ -465,7 +487,7 @@ class ProcessPoolExecutor:
         chunksize = max(1, len(tasks) // (n_workers * 4))
         with multiprocessing.Pool(n_workers) as pool:
             for triples in pool.imap_unordered(
-                execute_cell_graph, tasks, chunksize=chunksize
+                _run_component, tasks, chunksize=chunksize
             ):
                 if should_stop is not None and should_stop():
                     pool.terminate()
@@ -589,7 +611,7 @@ class ShardExecutor:
             # Adopt only this run's cells: a reused work_dir may hold
             # shard stores from an earlier, different matrix, and those
             # artifacts must not leak into the campaign store (which
-            # has to stay byte-identical to a serial run).
+            # has to stay byte-identical to the reference run).
             store.merge_from(shard_stores, keys=[c.key for c in cells])
             manifest = store.manifest()
             for cell in cells:

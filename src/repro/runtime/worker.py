@@ -41,9 +41,9 @@ from repro.obs.provenance import PROVENANCE_KEY
 from repro.runtime import chaos
 from repro.runtime.cell import Cell, resolve_ref
 from repro.runtime.executors import (
+    BatchExecutor,
     ExecutionAborted,
-    ProcessPoolExecutor,
-    SerialExecutor,
+    executor_for,
     partition_cells,
 )
 from repro.runtime.store import ArtifactStore, atomic_write_text
@@ -61,6 +61,7 @@ __all__ = [
     "read_failures",
     "write_failures",
     "read_in_flight",
+    "persist_result",
     "run_manifest",
     "merge_stores",
 ]
@@ -272,6 +273,31 @@ def _chain_closure(seeds: set[str], cells: Sequence[Cell]) -> set[str]:
     return closed
 
 
+def persist_result(
+    store: ArtifactStore,
+    key: str,
+    encode: Callable[[object], tuple[dict, dict]],
+    result: object,
+    provenance: dict | None = None,
+) -> None:
+    """Encode one computed cell result and put it into ``store``.
+
+    Provenance rides in the manifest meta, never the documents, so the
+    store content hash ignores where and how long the cell ran.  A key
+    already stored is no error: another writer (an earlier sweep, a
+    relaunched shard) landed identical content after the caller's
+    manifest snapshot.  Any other refusal propagates.
+    """
+    documents, meta = encode(result)
+    if provenance is not None:
+        meta = {**meta, PROVENANCE_KEY: provenance}
+    try:
+        store.put(key, documents, meta=meta)
+    except ValueError:
+        if key not in store:
+            raise
+
+
 def run_manifest(
     manifest_path: str | Path,
     store_root: str | Path,
@@ -285,23 +311,25 @@ def run_manifest(
     """Execute a shard manifest into a local artifact store.
 
     Already-stored keys are skipped (that is the resume path), and each
-    result is encoded and persisted the moment it completes.  At one
-    worker, pending cells run through the
-    :class:`~repro.runtime.executors.BatchExecutor`: runs of
-    independent cells advance together in lockstep batches (chains run
-    one cell at a time), so a crash mid-shard loses at most one batch,
-    never the finished ones.  A batch that raises is rerun one cell at
-    a time, so the cells before the failing one are stored and the
-    error is the failing cell's own — the shard ends exactly where a
-    serial run would have.  A worker that *dies* mid-batch (killed,
-    out of memory) leaves the batch's keys in the store's
+    result is persisted (:func:`persist_result`) the moment it
+    completes.  Pending cells run through the one cell loop,
+    :class:`~repro.runtime.executors.BatchExecutor`, chosen by
+    :func:`~repro.runtime.executors.executor_for`: at one worker, in
+    this process, runs of independent cells advancing together in
+    lockstep batches (chains run one cell at a time), so a crash
+    mid-shard loses at most one batch, never the finished ones; more
+    workers run a chunked process pool whose children run one cell at
+    a time.  A batch that raises is rerun one cell at a time, so the
+    cells before the failing one are stored and the error is the
+    failing cell's own — the shard ends exactly where a one-at-a-time
+    run would have.  A worker that *dies* mid-batch (killed, out of
+    memory) leaves the batch's keys in the store's
     :data:`IN_FLIGHT_NAME` record; the next run finds it and runs its
-    cells one at a time through the
-    :class:`~repro.runtime.executors.SerialExecutor`, so a death there
-    is again the first unfinished cell's, and removes the record once
-    the shard completes.  More workers run a chunked process pool.
-    Returns a summary dict with ``computed`` / ``cached`` /
-    ``skipped`` / ``audit_failed`` key tuples.
+    cells through ``BatchExecutor(1)``, the one-at-a-time reference,
+    so a death there is again the first unfinished cell's, and removes
+    the record once the shard completes.  Returns a summary dict with
+    ``computed`` / ``cached`` / ``skipped`` / ``audit_failed`` key
+    tuples.
 
     Three fault-tolerance hooks harden the loop:
 
@@ -449,22 +477,7 @@ def run_manifest(
     def emit(cell: Cell, result: object, already_stored: bool) -> None:
         prov = provenance.get(cell.key)
         if not already_stored:
-            documents, meta = encode(result)
-            if prov is not None:
-                # Provenance lives in manifest meta, never documents:
-                # the store content hash (and shard == serial
-                # byte-equivalence) must not see wall times.
-                meta = dict(meta)
-                meta[PROVENANCE_KEY] = prov
-            try:
-                store.put(cell.key, documents, meta=meta)
-            except ValueError:
-                # Another worker on the same store (an operator
-                # relaunching a shard presumed dead) persisted this
-                # cell after our snapshot; identical content, so losing
-                # the race is not an error.
-                if cell.key not in store:
-                    raise
+            persist_result(store, cell.key, encode, result, prov)
         computed.append(cell.key)
         log.log(
             "cell_done",
@@ -504,11 +517,11 @@ def run_manifest(
         else:
             in_flight_file.unlink(missing_ok=True)
 
-    executor = ProcessPoolExecutor(workers)
+    executor = executor_for(workers)
     died_mid_batch = read_in_flight(store.root)
     if died_mid_batch is not None and workers == 1:
         log.log("resume_one_at_a_time", cells=len(died_mid_batch))
-        executor = SerialExecutor()
+        executor = BatchExecutor(1)
     try:
         executor.run(
             pending,

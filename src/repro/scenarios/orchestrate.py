@@ -574,8 +574,9 @@ def batch_executor(batch_size: int = 32) -> BatchExecutor:
 
         ScenarioCampaign(configs, executor=batch_executor(8)).run()
 
-    Results — rows, checksums, cache keys — are bit-identical to
-    :class:`~repro.runtime.executors.SerialExecutor`; only the wall
+    The same loop runs every cell at every batch size, and results —
+    rows, checksums, cache keys — are bit-identical to
+    ``batch_executor(1)``, the one-at-a-time reference; only the wall
     clock changes.
     """
     return BatchExecutor(batch_size)

@@ -75,7 +75,6 @@ _EXPORTS = {
         "chain_serving",
         "run_serving",
         "run_servings_batched",
-        "serving_batch_executor",
         "serving_cells",
         "serving_matrix",
     ),
@@ -102,7 +101,6 @@ __all__ = [
     "ServingCampaign",
     "run_serving",
     "run_servings_batched",
-    "serving_batch_executor",
     "serving_matrix",
     "chain_serving",
     "serving_cells",

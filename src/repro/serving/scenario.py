@@ -43,7 +43,6 @@ from repro.runtime.campaign import (
     config_fields,
 )
 from repro.runtime.cell import Cell, content_id
-from repro.runtime.executors import BatchExecutor
 from repro.serving.arrivals import (
     diurnal_process,
     flash_crowd_process,
@@ -66,7 +65,6 @@ __all__ = [
     "finish_serving",
     "run_servings_batched",
     "run_serving_payload",
-    "serving_batch_executor",
     "serving_matrix",
     "chain_serving",
     "serving_cells",
@@ -463,15 +461,6 @@ def _run_serving_payloads(payloads: list, upstreams: list) -> list:
 
 
 run_serving_payload.batched = _run_serving_payloads
-
-
-def serving_batch_executor(batch_size: int = 32) -> BatchExecutor:
-    """A :class:`~repro.runtime.executors.BatchExecutor` for serving cells.
-
-    The campaign default already batches serving cells; this sets the
-    batch size.
-    """
-    return BatchExecutor(batch_size)
 
 
 def encode_serving_result(result: ServingCellResult) -> tuple[dict, dict]:

@@ -32,7 +32,7 @@ class TestCellProvenance:
 class TestExecutorIntegration:
     def test_serial_executor_reports_provenance(self):
         from repro.runtime.cell import Cell
-        from repro.runtime.executors import SerialExecutor
+        from repro.runtime.executors import BatchExecutor
 
         cells = [
             Cell(
@@ -44,7 +44,7 @@ class TestExecutorIntegration:
         ]
         seen: dict[str, dict] = {}
         emitted: list[str] = []
-        SerialExecutor().run(
+        BatchExecutor(1).run(
             cells,
             lambda cell, result, stored: emitted.append(cell.key),
             on_provenance=seen.__setitem__,

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.runtime.cell import Cell, cell_key, execute_cell, resolve_ref
+from repro.runtime.cell import Cell, cell_key, resolve_ref
 
 
 def double(payload):
@@ -61,4 +61,4 @@ class TestCell:
         cell = Cell(fn="tests.runtime.test_cell:double", payload={"x": 3})
         clone = Cell.from_entry(cell.to_entry())
         assert clone == cell
-        assert execute_cell(clone) == (cell.key, 6)
+        assert clone.run() == 6

@@ -13,9 +13,9 @@ import pytest
 from repro.measurement import TraceRepository
 from repro.runtime import (
     ArtifactStore,
+    BatchExecutor,
     Cell,
     ProcessPoolExecutor,
-    SerialExecutor,
     ShardExecutor,
     cell_components,
     order_cells,
@@ -103,7 +103,7 @@ class TestChainedExecutorEquivalence:
 
         serial_repo = TraceRepository(tmp_path / "serial")
         serial = ScenarioCampaign(
-            configs, repository=serial_repo, executor=SerialExecutor()
+            configs, repository=serial_repo, executor=BatchExecutor(1)
         ).run()
         pool_repo = TraceRepository(tmp_path / "pool")
         pool = ScenarioCampaign(
@@ -132,7 +132,7 @@ class TestChainedExecutorEquivalence:
         # Drop the two successors; the head stays cached.  Every
         # executor must rebuild the chain tail from the cached head.
         for executor in (
-            SerialExecutor(),
+            BatchExecutor(1),
             ProcessPoolExecutor(2),
             ShardExecutor(2, work_dir=tmp_path / "work"),
         ):

@@ -1,7 +1,7 @@
 """Executor equivalence and shard-resume tests.
 
 The acceptance contract of the runtime layer: for a fixed seeded
-scenario matrix, ``SerialExecutor``, ``ProcessPoolExecutor``, and a
+scenario matrix, ``BatchExecutor(1)``, ``ProcessPoolExecutor``, and a
 two-shard ``ShardExecutor`` round trip (shard manifests -> worker ->
 merge) produce byte-identical aggregate rows and identical
 artifact-store content hashes — and a worker that crashes mid-shard
@@ -21,7 +21,6 @@ from repro.runtime import (
     CampaignRunner,
     Cell,
     ProcessPoolExecutor,
-    SerialExecutor,
     ShardExecutor,
     merge_stores,
     partition_cells,
@@ -75,7 +74,7 @@ class TestExecutorEquivalence:
 
         serial_repo = TraceRepository(tmp_path / "serial")
         serial = ScenarioCampaign(
-            configs, repository=serial_repo, executor=SerialExecutor()
+            configs, repository=serial_repo, executor=BatchExecutor(1)
         ).run()
 
         pool_repo = TraceRepository(tmp_path / "pool")
@@ -523,6 +522,88 @@ class TestBatchExecutor:
         run_toys(BatchExecutor(), cells, on_provenance=records.__setitem__)
         walls = {records[c.key]["wall_s"] for c in cells}
         assert len(walls) == 1
+
+
+class TestProcessPool:
+    """The pool path: chain components dispatched to children."""
+
+    def test_skip_drops_a_fully_revoked_chain(self):
+        from repro.runtime.chaos import demo_matrix
+
+        cells = demo_matrix(n_chains=3, chain_len=2)
+        revoked = {cell.key for cell in cells[2:4]}  # the second chain
+        skipped = []
+        emitted = run_toys(
+            ProcessPoolExecutor(2),
+            cells,
+            skip=lambda cell: cell.key in revoked,
+            on_skip=skipped.append,
+        )
+        assert skipped == cells[2:4]
+        assert sorted(key for key, _ in emitted) == sorted(
+            cell.key for cell in cells if cell.key not in revoked
+        )
+
+    def test_a_half_revoked_chain_runs_intact(self):
+        from repro.runtime.chaos import demo_matrix
+
+        cells = demo_matrix(n_chains=2, chain_len=2)
+        skipped = []
+        emitted = run_toys(
+            ProcessPoolExecutor(2),
+            cells,
+            skip=lambda cell: cell.key == cells[1].key,  # a chain's tail
+            on_skip=skipped.append,
+        )
+        assert skipped == []
+        assert sorted(key for key, _ in emitted) == sorted(c.key for c in cells)
+        alone = dict(run_toys(BatchExecutor(1), cells))
+        assert dict(emitted) == alone
+
+    def test_an_armed_poison_key_raises_from_a_pool_child(
+        self, tmp_path, chaos_env
+    ):
+        from multiprocessing.pool import RemoteTraceback
+
+        from repro.runtime.chaos import ChaosPoisonError, demo_matrix
+
+        cells = demo_matrix(n_chains=2, chain_len=1)
+        config = tmp_path / "chaos.json"
+        config.write_text(
+            json.dumps({"schema": 1, "poison_keys": [cells[1].key]})
+        )
+        chaos_env(config)
+        with pytest.raises(ChaosPoisonError, match="poison cell") as info:
+            run_toys(ProcessPoolExecutor(2), cells)
+        assert isinstance(info.value.__cause__, RemoteTraceback)
+
+    def test_every_emitted_cell_carries_its_childs_provenance(self):
+        from repro.runtime.chaos import demo_matrix
+
+        cells = demo_matrix(n_chains=2, chain_len=2, sleep_s=0.02)
+        heard = []
+        records = {}
+
+        def on_provenance(key, record):
+            heard.append(("provenance", key))
+            records[key] = record
+
+        results = {}
+
+        def emit(cell, result, stored):
+            heard.append(("emit", cell.key))
+            results[cell.key] = result
+
+        ProcessPoolExecutor(2).run(cells, emit, on_provenance=on_provenance)
+        assert sorted(records) == sorted(results) == sorted(c.key for c in cells)
+        for key, result in results.items():
+            # Heard just before its own emit, and measured where the
+            # cell slept: in the child, as the record's step count and
+            # wall time show.
+            index = heard.index(("emit", key))
+            assert heard[index - 1] == ("provenance", key)
+            assert records[key]["n_steps"] == result["n_steps"]
+            assert records[key]["wall_s"] >= 0.02
 
 
 class TestResumeAudit:

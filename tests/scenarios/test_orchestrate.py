@@ -202,12 +202,12 @@ class TestScenarioCampaign:
             assert config.scenario_id in repo
         assert poison not in repo
 
-    def _runner(self, configs, repo):
-        from repro.runtime import CampaignRunner
-        from repro.scenarios import SCENARIO_CODEC, scenario_cells
+    def _persist(self, repo, config, result):
+        from repro.runtime.worker import persist_result
+        from repro.scenarios import SCENARIO_CODEC
 
-        return CampaignRunner(
-            scenario_cells(configs), store=repo.artifacts, codec=SCENARIO_CODEC
+        persist_result(
+            repo.artifacts, config.scenario_id, SCENARIO_CODEC.encode, result
         )
 
     def test_persist_skips_already_stored_cell(self, tmp_path):
@@ -215,17 +215,15 @@ class TestScenarioCampaign:
         # interrupted earlier sweep) must not crash the current one.
         configs = fast_matrix()
         repo = TraceRepository(tmp_path)
-        runner = self._runner(configs, repo)
         result = run_scenario(configs[0])
         repo.store(result.config.scenario_id, result.to_campaign_result())
         # Must be a silent no-op, not a ValueError.
-        runner._persist(runner.cells[0], result)
+        self._persist(repo, configs[0], result)
         assert result.config.scenario_id in repo
 
     def test_persist_reraises_genuine_persistence_failure(self, tmp_path):
         repo = TraceRepository(tmp_path)
         configs = fast_matrix()
-        runner = self._runner(configs, repo)
         result = run_scenario(configs[0])
         broken = ScenarioResult(
             config=result.config,
@@ -234,7 +232,7 @@ class TestScenarioCampaign:
             makespan_s=result.makespan_s,
         )
         with pytest.raises(ValueError):
-            runner._persist(runner.cells[0], broken)
+            self._persist(repo, configs[0], broken)
 
     def test_corrupted_cache_raises_repository_error(self, tmp_path):
         # Deleting a cached cell's trace file behind the manifest must

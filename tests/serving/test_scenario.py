@@ -11,6 +11,7 @@ import math
 import pytest
 
 from repro.measurement.repository import TraceRepository
+from repro.runtime import BatchExecutor
 from repro.serving.scenario import (
     SERVING_DEFAULT_INSTANCES,
     ServingCampaign,
@@ -20,7 +21,6 @@ from repro.serving.scenario import (
     encode_serving_result,
     run_serving,
     run_servings_batched,
-    serving_batch_executor,
     serving_cells,
     serving_matrix,
 )
@@ -215,10 +215,8 @@ class TestExecutionPaths:
             n_nodes=4,
             duration_s=10.0,
         )
-        serial = ServingCampaign(configs).run().results
-        batched = ServingCampaign(
-            configs, executor=serving_batch_executor(batch_size=2)
-        ).run().results
+        serial = ServingCampaign(configs, executor=BatchExecutor(1)).run().results
+        batched = ServingCampaign(configs, executor=BatchExecutor(2)).run().results
         assert serial.keys() == batched.keys()
         for sid, a in serial.items():
             assert cell_snapshot(a) == cell_snapshot(batched[sid])

@@ -116,6 +116,19 @@ class TestCommands:
         assert "fig02" in out
         assert "cloud=A" in out
 
+    @pytest.mark.parametrize("workers", ["0", "-5"])
+    def test_figure_refuses_non_positive_workers(
+        self, capsys, monkeypatch, workers
+    ):
+        from repro.runtime.campaign import CampaignRunner
+
+        def no_cell_may_run(runner):
+            raise AssertionError("a cell ran")
+
+        monkeypatch.setattr(CampaignRunner, "run", no_cell_may_run)
+        assert main(["fig16", "--fast", "--workers", workers]) == 2
+        assert "error: workers must be >= 1" in capsys.readouterr().err
+
     def test_fast_simulation_figure(self, capsys):
         assert main(["fig14", "--fast"]) == 0
         out = capsys.readouterr().out

@@ -15,6 +15,8 @@ here pin the module sets, never timings:
   :mod:`repro.scenarios.orchestrate`, which ``repro worker`` decodes
   through) loads neither the supervisor and remote transport nor the
   serving layer nor :mod:`multiprocessing`;
+* a leased ``repro worker`` call (the CLI form ``repro campaign run``
+  launches) loads neither the supervisor nor the remote transport;
 * no simulation loads scipy: ``scipy.special`` alone is about a
   quarter of a second and drags in ``numpy.f2py``.  The AR(1)
   shaper's normal CDF is the pure-Python cephes port in
@@ -144,6 +146,32 @@ print(loaded(*FORBIDDEN))
 """
     )
     assert out.strip() == "[]"
+
+
+def test_leased_cli_worker_skips_supervisor_and_remote(tmp_path):
+    # The workers ``repro campaign run`` launches always hold a lease,
+    # so the lease helpers must not pull in the supervisor behind them.
+    out = run_cold(
+        LOADED
+        + f"""
+from repro.cli import main
+from repro.runtime.chaos import demo_codec, demo_matrix
+from repro.runtime.worker import write_shard_manifests
+
+codec = demo_codec()
+(manifest,) = write_shard_manifests(
+    demo_matrix(), n_shards=1, directory={str(tmp_path)!r},
+    encode_ref=codec.encode_ref, decode_ref=codec.decode_ref,
+)
+code = main([
+    "worker", str(manifest), "--store", {str(tmp_path / "store")!r},
+    "--lease", {str(tmp_path / "shard-0.lease.json")!r}, "--quiet",
+])
+assert code == 0, code
+print(loaded("repro.runtime.coordinator", "repro.runtime.remote"))
+"""
+    )
+    assert out.strip().splitlines()[-1] == "[]"
 
 
 LAZY_PACKAGES = (
