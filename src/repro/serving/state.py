@@ -106,7 +106,11 @@ class _User:
 
 @dataclass
 class ServingResult:
-    """Everything one serving run produced."""
+    """Everything one serving run produced.
+
+    The telemetry arrays (:attr:`sample_times`, ``[node, sample]``
+    :attr:`egress_rates` and :attr:`budgets`) are read-only.
+    """
 
     #: Requests admitted (open-loop arrivals plus user issues).
     n_requests: int
@@ -333,10 +337,7 @@ class ServingState(EventCore):
         )
 
     def _build_result(self) -> ServingResult:
-        k = self._n_samples
-        budgets = None
-        if self._budget_buf is not None:
-            budgets = self._budget_buf[:k].copy().T
+        sample_times, egress_rates, budgets = self.telemetry()
         n = self._n_completed
         latency = {
             "count": float(n),
@@ -358,8 +359,8 @@ class ServingState(EventCore):
             latency=latency,
             windows=windows,
             slo=slo,
-            sample_times=self._t_buf[:k].copy(),
-            egress_rates=self._rate_buf[:k].copy().T,
+            sample_times=sample_times,
+            egress_rates=egress_rates,
             budgets=budgets,
             n_steps=self._n_steps,
         )

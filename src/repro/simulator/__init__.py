@@ -55,6 +55,13 @@ checksums and wall times of nine CI-sized hot-path cases (streams, a
 1000-flow water-fill, fleet sweeps, batched cells, serving) against
 ``BENCH_engine.json``; ``perfbench/`` is the repeated, per-layer
 benchmark.
+
+**Result telemetry is read-only.**
+:meth:`~repro.simulator.core.EventCore.telemetry` trims the buffers
+into one read-only copy per result.  A stream result's per-job
+telemetry arrays are windows (views) of the stream's, so a result holds
+its samples once, not once per job, and no caller can write through one
+job's window into another's.
 """
 
 from repro.simulator.cluster import Cluster, NodeSpec

@@ -62,6 +62,13 @@ __all__ = ["EventCore", "WorkloadSource", "MAX_STEPS", "run_cores"]
 MAX_STEPS = 5_000_000
 
 
+def _read_only(buf: np.ndarray) -> np.ndarray:
+    """A non-writeable copy of ``buf``; its views are non-writeable too."""
+    arr = buf.copy()
+    arr.flags.writeable = False
+    return arr
+
+
 @runtime_checkable
 class WorkloadSource(Protocol):
     """The hook surface a workload implements over :class:`EventCore`.
@@ -224,6 +231,25 @@ class EventCore:
         if self._budget_buf is not None:
             self._budget_buf[k, :] = self.fabric.fleet.budgets()
         self._n_samples = k + 1
+
+    def telemetry(self) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+        """The samples recorded so far, trimmed, copied and read-only.
+
+        Returns ``(sample_times, egress_rates, budgets)``: the sample
+        times, then ``[node, sample]`` egress rates (Gbps) and budgets
+        (Gbit; ``None`` when the shapers expose no budget).  ``now``
+        never decreases, so neither do the sample times.  Each array is
+        a fresh copy and none is writeable, so results may hand out
+        windows (views) of them without one caller being able to write
+        into another's telemetry.
+        """
+        k = self._n_samples
+        budgets = self._budget_buf
+        return (
+            _read_only(self._t_buf[:k]),
+            _read_only(self._rate_buf[:k]).T,
+            None if budgets is None else _read_only(budgets[:k]).T,
+        )
 
     def _grow_telemetry(self) -> None:
         capacity = 2 * self._t_buf.shape[0]

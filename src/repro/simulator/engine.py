@@ -117,7 +117,9 @@ class JobResult:
     runtime_s: float
     #: ``{stage_name: (start_s, end_s)}``
     stage_windows: dict[str, tuple[float, float]]
-    #: Telemetry sample times.
+    #: Telemetry sample times in ``[submit_s, finish_s]``.  This and the
+    #: two arrays below are read-only windows (views) of the stream's
+    #: arrays in :class:`StreamResult`, not copies.
     sample_times: np.ndarray
     #: ``egress_rates[node]`` aligned with :attr:`sample_times` (Gbps).
     egress_rates: np.ndarray
@@ -206,7 +208,9 @@ class StreamResult:
     Per-job details (stage windows, task placement, response times)
     live in :attr:`job_results`, ordered by submission; the telemetry
     arrays span the whole stream because egress shaping is a property
-    of the shared cluster, not of any single job.
+    of the shared cluster, not of any single job.  The telemetry arrays
+    are read-only, and each job's telemetry is a window of them: the
+    stream holds its samples once, however many jobs it ran.
     """
 
     scheduler: str
@@ -987,26 +991,21 @@ class _StreamState(EventCore):
 
     # -- result assembly ---------------------------------------------------
     def _build_result(self) -> StreamResult:
-        k = self._n_samples
-        sample_times = self._t_buf[:k].copy()
-        egress_rates = self._rate_buf[:k].copy().T
-        budgets = None
-        if self._budget_buf is not None:
-            budgets = self._budget_buf[:k].copy().T
-        single = len(self.jobs) == 1
+        sample_times, egress_rates, budgets = self.telemetry()
+        # Sample times never decrease, so the samples in a job's
+        # [submit, finish] interval are one contiguous run: each job's
+        # telemetry is a window (a view) of the stream arrays.
+        starts = np.searchsorted(
+            sample_times, np.subtract(self.submits, 1e-9), side="left"
+        ).tolist()
+        stops = np.searchsorted(
+            sample_times, np.add(self.finish_times, 1e-9), side="right"
+        ).tolist()
         job_results = []
         for j, job in enumerate(self.jobs):
             submit = self.submits[j]
             finish = self.finish_times[j]
-            if single:
-                times, rates, buds = sample_times, egress_rates, budgets
-            else:
-                mask = (sample_times >= submit - 1e-9) & (
-                    sample_times <= finish + 1e-9
-                )
-                times = sample_times[mask]
-                rates = egress_rates[:, mask]
-                buds = None if budgets is None else budgets[:, mask]
+            lo, hi = starts[j], stops[j]
             stage_windows = {
                 stage.name: (self.stage_start[j][i], self.stage_end[j][i])
                 for i, stage in enumerate(job.stages)
@@ -1016,9 +1015,9 @@ class _StreamState(EventCore):
                     job_name=job.name,
                     runtime_s=finish - submit,
                     stage_windows=stage_windows,
-                    sample_times=times,
-                    egress_rates=rates,
-                    budgets=buds,
+                    sample_times=sample_times[lo:hi],
+                    egress_rates=egress_rates[:, lo:hi],
+                    budgets=None if budgets is None else budgets[:, lo:hi],
                     tasks_per_node=self.tasks_run[j].sum(axis=0),
                     submit_s=submit,
                     finish_s=finish,

@@ -714,7 +714,7 @@ class Fabric:
         if n > _SWEEP_CUTOVER:
             remaining = self._remaining[:n]
             remaining -= self._rate[:n] * dt
-            done = np.flatnonzero(remaining <= _COMPLETE_EPS_GBIT).tolist()
+            done = (remaining <= _COMPLETE_EPS_GBIT).nonzero()[0].tolist()
         else:
             rem_list = self._remaining[:n].tolist()
             rate_list = self._rate[:n].tolist()
